@@ -6,6 +6,7 @@
 // --scale so a laptop-class machine finishes in seconds; pass --scale 4 or
 // more to push toward the asymptotic regime on bigger hardware.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -26,7 +27,7 @@ namespace atalib::bench {
 inline void add_common_flags(CliFlags& flags) {
   flags.add_double("scale", 1.0, "size multiplier vs the built-in laptop defaults");
   flags.add_int("reps", 2, "timing repetitions (min is reported)");
-  flags.add_int("base-elements", 0, "AtA/Strassen base-case threshold (0 = probe cache)");
+  flags.add_int("base-elements", 0, "AtA/Strassen base-case threshold (0 = measured tuner)");
   flags.add_string("json", "", "also write results as a JSON array to this path (\"\" = off)");
 }
 
@@ -115,6 +116,37 @@ inline RecurseOptions recurse_from_flags(const CliFlags& flags) {
   RecurseOptions opts;
   opts.base_case_elements = flags.get_int("base-elements");
   return opts;
+}
+
+/// Fig. 3 / Fig. 4 planner gate: where the planner's cut-off recurses, its
+/// median paired ratio against the plain kernel it could always have picked
+/// may be at most 2% under 1.
+inline constexpr double kPlannerFloor = 0.98;
+
+/// Median over reps of base[r] / cand[r]. interleaved_samples takes sample r
+/// of every column back to back, so slow host drift cancels inside each
+/// ratio and the median discards the reps a burst of noise hit.
+inline double median_paired_ratio(const std::vector<double>& base,
+                                  const std::vector<double>& cand) {
+  std::vector<double> r;
+  for (std::size_t i = 0; i < std::min(base.size(), cand.size()); ++i) {
+    r.push_back(base[i] / cand[i]);
+  }
+  if (r.empty()) return 0.0;
+  std::sort(r.begin(), r.end());
+  const std::size_t h = r.size() / 2;
+  return r.size() % 2 == 1 ? r[h] : 0.5 * (r[h - 1] + r[h]);
+}
+
+/// Minimum length of one timed sample in the Fig. 3 / Fig. 4 columns.
+inline constexpr double kMinSampleSeconds = 10e-3;
+
+/// The tuner's resolved f64 cut-off, phrased for the Fig. 3 / Fig. 4 header.
+inline std::string tuner_crossover_text(index_t cut) {
+  if (cut == kNeverRecurse) return "none on this host (the planner never recurses)";
+  const auto n = static_cast<index_t>(std::sqrt((static_cast<double>(cut) + 1) / 2));
+  return "one Strassen level wins from n ~ " + std::to_string(n) + " (cut-off " +
+         std::to_string(cut) + " elements)";
 }
 
 /// Scale a base size, keeping it even-ish for prettier splits.

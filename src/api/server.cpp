@@ -46,13 +46,16 @@ Server::~Server() {
   UniqueLock lk(gate_mu_);
   shutting_down_ = true;
   // Abort everything still unsettled: tasks that have not computed yet see
-  // `cancelled` and skip; clients get ServerShutdown instead of a hang.
+  // `cancelled` and skip; clients get ServerShutdown instead of a hang. A
+  // request some task already started on is settled by its retiring task
+  // (RequestTicket::cancel), which the wait below also covers.
   for (auto& t : ledger_) {
+    if (t->settled.load(std::memory_order_acquire)) continue;
+    if (!t->cancel(detail::CancelReason::kShutdown)) continue;
     bool expected = false;
     if (!t->settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
       continue;
     }
-    t->cancelled.store(true, std::memory_order_release);
     t->promise.set_exception(std::make_exception_ptr(
         ServerShutdown("atalib: Server destroyed with the request in flight")));
     --inflight_requests_;
@@ -137,11 +140,13 @@ std::size_t Server::shed_expired(Clock::time_point now) {
   for (auto& t : ledger_) {
     if (t->settled.load(std::memory_order_relaxed)) continue;
     if (now < t->deadline) continue;
+    // Started work still stops at its next task, but only its retiring
+    // task may hand the buffers back, so it frees no capacity now.
+    if (!t->cancel(detail::CancelReason::kShed)) continue;
     bool expected = false;
     if (!t->settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
       continue;
     }
-    t->cancelled.store(true, std::memory_order_release);
     t->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
         "atalib: request shed under kShedOldest after its deadline expired")));
     --inflight_requests_;
@@ -169,6 +174,26 @@ bool Server::claim_and_release(Ticket& t) {
   }
   gate_cv_.notify_all();
   return true;
+}
+
+void Server::settle_cancelled(Ticket& t) {
+  switch (t.reason.load(std::memory_order_relaxed)) {
+    case detail::CancelReason::kShutdown:
+      t.promise.set_exception(std::make_exception_ptr(
+          ServerShutdown("atalib: Server destroyed with the request in flight")));
+      return;
+    case detail::CancelReason::kShed:
+      shed_.fetch_add(1, std::memory_order_relaxed);
+      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+      t.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
+          "atalib: request shed under kShedOldest after its deadline expired")));
+      return;
+    default:
+      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+      t.promise.set_exception(std::make_exception_ptr(
+          DeadlineExceeded("atalib: request deadline expired before execution")));
+      return;
+  }
 }
 
 void Server::on_batch_retired() {
@@ -333,8 +358,7 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   for (std::size_t r = 0; r < nreq; ++r) {
     Ticket& ticket = *state->tickets[r];
     if (admitted_at < ticket.deadline) continue;
-    ticket.cancelled.store(true, std::memory_order_release);
-    if (claim_and_release(ticket)) {
+    if (ticket.cancel(detail::CancelReason::kDeadline) && claim_and_release(ticket)) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
       ticket.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
           "atalib: request deadline already expired at submit")));
@@ -422,42 +446,57 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
       const AtaPlan& plan =
           *state->batch.plans[static_cast<std::size_t>(
               state->batch.plan_of_request[static_cast<std::size_t>(req)])];
-      if (!ticket.cancelled.load(std::memory_order_acquire)) {
+      if (ticket.cancelled.load(std::memory_order_acquire)) {
+        ticket.skipped.store(true, std::memory_order_relaxed);
+      } else {
         const SteadyClock::time_point now = SteadyClock::now();
         if (now >= ticket.deadline) {
-          // Expired before this unit computed: settle with DeadlineExceeded
-          // and skip the leaf GEMMs (any remaining units skip too).
-          ticket.cancelled.store(true, std::memory_order_release);
-          if (server->claim_and_release(ticket)) {
+          // Expired before this unit computed: skip the leaf GEMMs (any
+          // remaining units skip too) and settle with DeadlineExceeded —
+          // here if no unit started, else when the request retires.
+          ticket.skipped.store(true, std::memory_order_relaxed);
+          if (ticket.cancel(detail::CancelReason::kDeadline) &&
+              server->claim_and_release(ticket)) {
             server->deadline_expired_.fetch_add(1, std::memory_order_relaxed);
             ticket.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
                 "atalib: request deadline expired before execution")));
           }
         } else {
           std::int64_t expected = -1;
-          if (ticket.started_ns.compare_exchange_strong(expected, ns_of(now),
-                                                        std::memory_order_acq_rel)) {
+          if (ticket.started_ns.compare_exchange_strong(expected, ns_of(now))) {
             server->queue_wait_.record(elapsed_ns(ticket.admitted_at, now));
           }
-          try {
-            if constexpr (fault::kEnabled) {
-              if (state->faults) {
-                state->faults->maybe_slow_task();
-                state->faults->maybe_throw_leaf();
+          // Re-checked after publishing the start (seq_cst, see
+          // RequestTicket::cancel): a cancel that missed the start was
+          // allowed to settle, so this unit must not touch the buffers.
+          if (ticket.cancelled.load()) {
+            ticket.skipped.store(true, std::memory_order_relaxed);
+          } else {
+            try {
+              if constexpr (fault::kEnabled) {
+                if (state->faults) {
+                  state->faults->maybe_slow_task();
+                  state->faults->maybe_throw_leaf();
+                }
               }
-            }
-            run_plan_task(plan, unit.local, r.alpha, r.a, r.c, ctx);
-          } catch (...) {
-            bool claimed = false;
-            if (state->failed[req].compare_exchange_strong(claimed, true,
-                                                           std::memory_order_relaxed)) {
-              state->errors[static_cast<std::size_t>(req)] = std::current_exception();
+              run_plan_task(plan, unit.local, r.alpha, r.a, r.c, ctx);
+            } catch (...) {
+              bool claimed = false;
+              if (state->failed[req].compare_exchange_strong(claimed, true,
+                                                             std::memory_order_relaxed)) {
+                state->errors[static_cast<std::size_t>(req)] = std::current_exception();
+              }
             }
           }
         }
       }
       if (state->remaining[req].fetch_sub(1, std::memory_order_acq_rel) == 1) {
         if (server->claim_and_release(ticket)) {
+          if (ticket.skipped.load(std::memory_order_relaxed)) {
+            // A cancel deferred to here: every unit is done with the buffers.
+            server->settle_cancelled(ticket);
+            continue;
+          }
           server->completed_.fetch_add(1, std::memory_order_relaxed);
           const std::int64_t started = ticket.started_ns.load(std::memory_order_acquire);
           if (started >= 0) {

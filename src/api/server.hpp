@@ -26,7 +26,8 @@
 // priority that orders queued batches at the pool's pop/steal points.
 // Every admitted request's future is settled exactly once — with a value,
 // the task's own error, DeadlineExceeded, or ServerShutdown — including
-// across Server destruction under load.
+// across Server destruction under load, and never while one of its tasks
+// still reads A or writes C.
 //
 // The warm serving path still performs zero schedule builds and zero
 // workspace slab allocations per request — the compile-once/execute-many
@@ -67,20 +68,45 @@ enum class AdmissionPolicy {
 
 namespace detail {
 
+/// Why a request was cancelled before all of its tasks computed.
+enum class CancelReason : int { kNone = 0, kDeadline, kShed, kShutdown };
+
 /// Per-request settle state shared by the task path, the deadline check,
 /// the shed scan, and the destructor sweep. Whoever wins the `settled` CAS
 /// owns the promise and must release the request's admission slot.
+///
+/// A settled future hands the request's buffers back to the caller, so an
+/// early settle (deadline / shed / shutdown) is allowed only while no task
+/// has started computing: cancel() marks the request and reports whether
+/// that holds. If a task already started, the task that retires the
+/// request settles it instead, after every task is done with the buffers.
 struct RequestTicket {
   std::promise<void> promise;
   std::atomic<bool> settled{false};
-  /// Set after an early settle (shed / deadline / shutdown): tasks that
-  /// observe it skip their compute entirely.
+  /// Set by cancel(): tasks that observe it skip their compute entirely.
   std::atomic<bool> cancelled{false};
+  /// The first cancel()'s reason; what a deferred settle reports.
+  std::atomic<CancelReason> reason{CancelReason::kNone};
+  /// Set by every task that skipped its compute because of `cancelled`;
+  /// read by the retiring task (published by the `remaining` countdown).
+  std::atomic<bool> skipped{false};
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   std::chrono::steady_clock::time_point admitted_at{};
   /// steady_clock nanos when the request's first task began computing;
   /// -1 until then. Claimed by CAS so queue-wait is recorded once.
   std::atomic<std::int64_t> started_ns{-1};
+
+  /// Mark the request cancelled for `why`. Returns true when the caller
+  /// may settle it now: no task has started, and any task that starts
+  /// later sees `cancelled` and skips (seq_cst pairs this store-then-load
+  /// with the task's started_ns-then-cancelled check). False: a task may
+  /// be computing, so the retiring task settles.
+  bool cancel(CancelReason why) {
+    CancelReason none = CancelReason::kNone;
+    reason.compare_exchange_strong(none, why);
+    cancelled.store(true);
+    return started_ns.load() < 0;
+  }
 };
 
 }  // namespace detail
@@ -197,12 +223,17 @@ class Server {
   Clock::time_point admit(std::size_t nreq);
   /// Roll back an admit() whose batch failed validation/planning.
   void unadmit(std::size_t nreq);
-  /// Settle every ledger ticket whose deadline has passed with
-  /// DeadlineExceeded; returns how many were shed.
+  /// Cancel every ledger ticket whose deadline has passed and settle with
+  /// DeadlineExceeded those no task has started on; returns how many were
+  /// settled (the others settle when their tasks retire).
   std::size_t shed_expired(Clock::time_point now) ATALIB_REQUIRES(gate_mu_);
   /// Win the settle CAS or return false. The winner's slot release +
   /// ledger trim happens here too (under gate_mu_).
   bool claim_and_release(Ticket& t);
+  /// Settle a request whose cancel was deferred to its retiring task
+  /// (RequestTicket::cancel) with the cancel reason's error; the caller
+  /// won the settle CAS.
+  void settle_cancelled(Ticket& t);
   /// Called by the last task of a batch: the final server-state touch of
   /// any admitted batch — ~Server waits for queued_batches_ == 0, so the
   /// server outlives every task-side access.

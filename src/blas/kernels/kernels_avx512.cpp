@@ -2,9 +2,11 @@
 // -mavx2 -mfma -ffp-contract=fast (per-file CMake options); the runtime
 // probe requires the same three AVX-512 subsets the compiler may emit.
 //
-// double 8x16: 8 rows x 2 zmm = 16 accumulators — half the zmm file, so the
-// compiler never spills and the k-loop stays a pure broadcast+2xFMA stream.
-// float 8x32 is the same shape at VL=16.
+// double 8x24: 8 rows x 3 zmm = 24 accumulators plus 3 B vectors — 27 of
+// the 32 zmm, so the compiler never spills. Each k-step is 3 B loads, 8
+// vbroadcastsd loads of A and 8 rows x 3 FMAs: 24 FMAs per 11 loads keeps
+// both FMA ports busy with no shuffle on port 5.
+// float 8x48 is the same shape at VL=16.
 
 #include "blas/kernels/microkernel.hpp"
 
@@ -26,8 +28,8 @@ bool avx512_supported() {
 const KernelEntry& avx512_kernel_entry() {
   static const KernelEntry entry{Isa::kAvx512,
                                  &avx512_supported,
-                                 Microkernel<float>{8, 32, &simd_microkernel<float, 16, 8, 2>},
-                                 Microkernel<double>{8, 16, &simd_microkernel<double, 8, 8, 2>},
+                                 Microkernel<float>{8, 48, &simd_microkernel<float, 16, 8, 3>},
+                                 Microkernel<double>{8, 24, &simd_microkernel<double, 8, 8, 3>},
                                  simd_tileops<float, 16>(),
                                  simd_tileops<double, 8>()};
   return entry;

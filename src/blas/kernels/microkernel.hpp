@@ -22,7 +22,7 @@ inline constexpr int kIsaCount = 4;
 /// Largest register tile any compiled kernel declares; sized for the
 /// packed-SYRK diagonal scratch tile, which lives on the stack.
 inline constexpr index_t kMaxMR = 16;
-inline constexpr index_t kMaxNR = 32;
+inline constexpr index_t kMaxNR = 48;
 
 /// One register-tile microkernel for one scalar type.
 template <typename T>

@@ -2,6 +2,7 @@
 // Tuning knobs shared by Strassen / RecursiveGEMM / AtA.
 
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -12,8 +13,9 @@ namespace atalib {
 
 /// Measured auto-tuned base-case threshold for scalars of `elem_bytes`
 /// bytes (strassen/tuner.cpp): registry gemm vs one Strassen level across a
-/// size ladder, cached in ATALIB_TUNING_CACHE, falling back to the static
-/// cache probe when no crossover is found or under the forced-scalar env.
+/// size ladder, cached in ATALIB_TUNING_CACHE; kNeverRecurse when no
+/// crossover is confirmed, the static cache probe under the forced-scalar
+/// env.
 index_t tuned_base_case_elements(std::size_t elem_bytes);
 
 /// Measured tall-skinny crossover ratio m/n at which the blocked
@@ -23,6 +25,12 @@ index_t tuned_base_case_elements(std::size_t elem_bytes);
 /// consults this when SharedOptions::tall_skinny_ratio is 0.
 index_t tuned_tall_skinny_ratio(std::size_t elem_bytes);
 
+/// Base-case cut-off that never recurses: every (m, n[, k]) fires the base
+/// case, so a Strassen/AtA call is one plain syrk_ln / gemm_tn leaf with no
+/// recursion temporaries. The tuner resolves "auto" to this when one
+/// Strassen level never confirmed a win over gemm on its ladder.
+inline constexpr index_t kNeverRecurse = std::numeric_limits<index_t>::max();
+
 /// Recursion cut-off options. The algorithms are cache-oblivious: these
 /// thresholds only pick the hand-off point to the leaf BLAS kernel
 /// (Algorithm 1 line 2: "if m x n <= cache size").
@@ -30,17 +38,17 @@ struct RecurseOptions {
   /// Base-case threshold in *elements*: recursion stops when the operand
   /// footprint (m*n for AtA, m*n + m*k for gemm-type per Algorithm 2) is at
   /// most this many scalars.
-  index_t base_case_elements = 0;  // 0 = probe cache at first use
+  index_t base_case_elements = 0;  // 0 = auto (the measured tuner)
 
   /// Hard floor on any dimension; below this, recursion never pays for the
   /// extra block sums regardless of cache footprint.
   index_t min_dim = 8;
 
   /// Resolve base_case_elements. 0 = auto: consult the measured tuner
-  /// (memoized per ISA/dtype, file-cached), which itself falls back to the
-  /// static cache probe. Plan keys store the *resolved* value so a cached
-  /// plan's schedule and workspace bounds can never drift from the cut-off
-  /// the leaves actually run with.
+  /// (memoized per ISA/dtype, file-cached), which resolves to kNeverRecurse
+  /// when Strassen never wins on the running host. Plan keys store the
+  /// *resolved* value so a cached plan's schedule and workspace bounds can
+  /// never drift from the cut-off the leaves actually run with.
   index_t resolved_base_elements(std::size_t elem_bytes) const {
     if (base_case_elements > 0) return base_case_elements;
     return tuned_base_case_elements(elem_bytes);
@@ -52,7 +60,7 @@ struct RecurseOptions {
 inline void validate(const RecurseOptions& opts, const char* scope) {
   if (opts.base_case_elements < 0) {
     throw std::invalid_argument(std::string(scope) +
-                                ".recurse.base_case_elements must be >= 0 (0 = probe), got " +
+                                ".recurse.base_case_elements must be >= 0 (0 = auto), got " +
                                 std::to_string(opts.base_case_elements));
   }
   if (opts.min_dim < 1) {

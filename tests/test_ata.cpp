@@ -9,6 +9,7 @@
 #include "matrix/generate.hpp"
 #include "runtime/workspace.hpp"
 #include "strassen/workspace.hpp"
+#include "param_names.hpp"
 
 namespace atalib {
 namespace {
@@ -65,7 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{7, 9}, Shape{9, 7}, Shape{16, 16}, Shape{17, 17}, Shape{31, 33},
                       Shape{64, 64}, Shape{65, 64}, Shape{64, 65}, Shape{100, 10},
                       Shape{10, 100}, Shape{128, 127}, Shape{129, 67}, Shape{1, 50},
-                      Shape{50, 1}));
+                      Shape{50, 1}),
+    test::ShapeName());
 
 TEST(Ata, ScalesByAlphaAndAccumulates) {
   auto a = random_integer<double>(30, 20, 3, 4);
@@ -143,7 +145,8 @@ TEST_P(AatShapes, AAtMatchesReferenceOnTransposedInput) {
 
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, AatShapes,
                          ::testing::Values(Shape{1, 1}, Shape{5, 9}, Shape{16, 16},
-                                           Shape{33, 17}, Shape{17, 33}, Shape{64, 100}));
+                                           Shape{33, 17}, Shape{17, 33}, Shape{64, 100}),
+                         test::ShapeName());
 
 TEST(Aat, GramOfWideMatrixIsSmall) {
   // AA^T of an m x n matrix is m x m even when n >> m.

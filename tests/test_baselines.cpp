@@ -9,6 +9,7 @@
 #include "dist/summa_syrk.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
+#include "param_names.hpp"
 
 namespace atalib::dist {
 namespace {
@@ -45,7 +46,8 @@ TEST_P(BaselineP, CapsLikeMatchesReferenceOnSquare) {
   EXPECT_EQ(max_abs_diff<double>(res.c.const_view(), c_ref.const_view()), 0.0) << "P=" << p;
 }
 
-INSTANTIATE_TEST_SUITE_P(PSweep, BaselineP, ::testing::Values(1, 2, 3, 4, 6, 7, 8, 13, 16, 49));
+INSTANTIATE_TEST_SUITE_P(PSweep, BaselineP, ::testing::Values(1, 2, 3, 4, 6, 7, 8, 13, 16, 49),
+                         test::int_name("p"));
 
 TEST(SummaSyrk, ClampsProcsToRows) {
   auto a = random_integer<double>(4, 10, 2, 6);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/arena.hpp"
@@ -185,6 +187,35 @@ TEST(Timer, MeasuresElapsedTime) {
   volatile double x = 0;
   for (int i = 0; i < 1000000; ++i) x = x + 1.0;
   EXPECT_GT(t.seconds(), 0.0);
+}
+
+TEST(Timer, InterleavedSamplesRotateTheStartColumn) {
+  std::vector<int> order;
+  const auto t = interleaved_samples(
+      3, 0.0, [&] { order.push_back(0); }, [&] { order.push_back(1); },
+      [&] { order.push_back(2); });
+  // min_sample = 0: one call per sample, no warm-up; rep r starts at column r.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 1, 2, 0, 2, 0, 1}));
+  for (const auto& col : t) {
+    ASSERT_EQ(col.size(), 3u);
+    EXPECT_EQ(min_of(col), *std::min_element(col.begin(), col.end()));
+  }
+}
+
+TEST(Timer, InterleavedSamplesSizeSamplesToMinSample) {
+  int calls = 0;
+  const auto t = interleaved_samples(2, 1e-3, [&] {
+    ++calls;
+    Timer spin;
+    while (spin.seconds() < 1e-4) {
+    }
+  });
+  // Warm-up + sizing call, then two samples of >= ceil(1 ms / 0.1 ms) calls
+  // at most (the sizing call can only run long).
+  EXPECT_GE(calls, 2 + 2);
+  EXPECT_LE(calls, 2 + 2 * 10);
+  ASSERT_EQ(t[0].size(), 2u);
+  EXPECT_GE(min_of(t[0]), 1e-4);
 }
 
 }  // namespace

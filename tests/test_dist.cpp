@@ -8,6 +8,7 @@
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
 #include "metrics/models.hpp"
+#include "param_names.hpp"
 
 namespace atalib::dist {
 namespace {
@@ -59,7 +60,8 @@ TEST_P(AtaDistP, BlasLeafEngineAgrees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PSweep, AtaDistP,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 11, 16, 24, 32, 64));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 11, 16, 24, 32, 64),
+                         test::int_name("p"));
 
 class AtaDistAlpha : public ::testing::TestWithParam<double> {};
 
@@ -77,7 +79,14 @@ TEST_P(AtaDistAlpha, LoadBalanceParameterPreservesCorrectness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AlphaSweep, AtaDistAlpha,
-                         ::testing::Values(0.25, 0.375, 0.5, 0.625, 0.75));
+                         ::testing::Values(0.25, 0.375, 0.5, 0.625, 0.75),
+                         [](const ::testing::TestParamInfo<double>& info) {
+                           // 0.375 -> alpha0_375
+                           std::string v = std::to_string(info.param);
+                           v.erase(v.find_last_not_of('0') + 1);
+                           v[v.find('.')] = '_';
+                           return "alpha" + v;
+                         });
 
 TEST(AtaDist, ScaleFactorApplied) {
   auto a = random_integer<double>(40, 40, 2, 5);

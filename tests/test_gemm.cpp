@@ -7,6 +7,7 @@
 #include "blas/reference.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
+#include "param_names.hpp"
 
 namespace atalib {
 namespace {
@@ -44,7 +45,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Shape{1, 1, 1}, Shape{2, 3, 4}, Shape{5, 5, 5}, Shape{7, 11, 13},
                       Shape{16, 16, 16}, Shape{31, 33, 29}, Shape{64, 64, 64},
                       Shape{100, 1, 100}, Shape{1, 100, 100}, Shape{129, 65, 33},
-                      Shape{257, 31, 129}, Shape{300, 300, 3}));
+                      Shape{257, 31, 129}, Shape{300, 300, 3}),
+    test::ShapeName());
 
 TEST(Gemm, AccumulatesIntoExistingC) {
   auto a = random_integer<double>(8, 8, 2, 5);
@@ -121,7 +123,8 @@ TEST_P(ParGemmThreads, MatchesSerial) {
   EXPECT_EQ(max_abs_diff<double>(c.const_view(), c_ref.const_view()), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParGemmThreads, ::testing::Values(1, 2, 3, 4, 8, 16, 64));
+INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParGemmThreads, ::testing::Values(1, 2, 3, 4, 8, 16, 64),
+                         test::int_name("threads"));
 
 }  // namespace
 }  // namespace atalib

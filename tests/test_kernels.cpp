@@ -43,10 +43,31 @@ std::vector<Isa> simd_isas() {
   return v;
 }
 
+/// SIMD vector length of `isa` in elements of T (1 for the scalar tile).
+template <typename T>
+index_t vector_lanes(Isa isa) {
+  switch (isa) {
+    case Isa::kAvx512:
+      return 64 / sizeof(T);
+    case Isa::kAvx2:
+      return 32 / sizeof(T);
+    case Isa::kNeon:
+      return 16 / sizeof(T);
+    case Isa::kScalar:
+      return 1;
+  }
+  return 1;
+}
+
 /// Shape values straddling the register tile: 1, tile-1, tile, tile+1 for
-/// both MR and NR, plus odd primes away from any tile boundary.
-std::vector<index_t> edge_dims(index_t mr, index_t nr) {
-  std::vector<index_t> dims{1, mr - 1, mr, mr + 1, nr - 1, nr, nr + 1, 13, 61};
+/// both MR and NR; VL+-1 and 2VL+-1, so partial tiles end inside the first
+/// and second vector of a row (the edge path stores whole vectors from
+/// registers, folds back only the valid lanes of the straddling one, and
+/// hands tiles that fit in fewer vectors to a narrower instantiation);
+/// plus odd primes away from any boundary.
+std::vector<index_t> edge_dims(index_t mr, index_t nr, index_t vl) {
+  std::vector<index_t> dims{1,      mr - 1, mr,         mr + 1,     nr - 1, nr, nr + 1,
+                            vl - 1, vl + 1, 2 * vl - 1, 2 * vl + 1, 13,     61};
   std::sort(dims.begin(), dims.end());
   dims.erase(std::unique(dims.begin(), dims.end()), dims.end());
   dims.erase(dims.begin(), std::upper_bound(dims.begin(), dims.end(), index_t{0}));
@@ -58,7 +79,7 @@ const std::vector<index_t> kDepths{1, 7, 31, 97};  // contraction depths (odd pr
 template <typename T>
 void expect_gemm_matches_scalar(Isa isa) {
   const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
-  const std::vector<index_t> dims = edge_dims(cfg.uk.mr, cfg.uk.nr);
+  const std::vector<index_t> dims = edge_dims(cfg.uk.mr, cfg.uk.nr, vector_lanes<T>(isa));
   std::uint64_t seed = 1;
   for (const index_t rows : dims) {
     for (const index_t cols : dims) {
@@ -98,7 +119,7 @@ void expect_gemm_matches_scalar(Isa isa) {
 template <typename T>
 void expect_syrk_matches_scalar(Isa isa) {
   const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
-  const std::vector<index_t> dims = edge_dims(cfg.uk.mr, cfg.uk.nr);
+  const std::vector<index_t> dims = edge_dims(cfg.uk.mr, cfg.uk.nr, vector_lanes<T>(isa));
   const T sentinel = T(-123.25);
   std::uint64_t seed = 1000;
   for (const index_t n : dims) {

@@ -5,6 +5,7 @@
 
 #include "blas/level1.hpp"
 #include "matrix/matrix.hpp"
+#include "param_names.hpp"
 
 namespace atalib {
 namespace {
@@ -108,7 +109,15 @@ INSTANTIATE_TEST_SUITE_P(
         PadCase{4, 5, 3, 4, 3, 4},   // both short both
         PadCase{1, 1, 1, 1, 1, 1},   // degenerate 1x1
         PadCase{2, 2, 1, 1, 2, 2},   // tiny with padding
-        PadCase{2, 2, 1, 2, 2, 1})); // tiny crossed
+        PadCase{2, 2, 1, 2, 2, 1}),  // tiny crossed
+    [](const ::testing::TestParamInfo<PadCase>& info) {
+      const PadCase& p = info.param;
+      const auto dims = [](index_t r, index_t c) {
+        return std::to_string(r) + "x" + std::to_string(c);
+      };
+      return "dst" + dims(p.dst_r, p.dst_c) + "_a" + dims(p.a_r, p.a_c) + "_b" +
+             dims(p.b_r, p.b_c);
+    });
 
 TEST(BlockCopy, ZeroFillsPadding) {
   Matrix<double> a{{1, 2}, {3, 4}};

@@ -7,6 +7,7 @@
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
 #include "strassen/recursive_gemm.hpp"
+#include "param_names.hpp"
 
 namespace atalib {
 namespace {
@@ -35,7 +36,8 @@ INSTANTIATE_TEST_SUITE_P(ShapeSweep, RecGemmShapes,
                          ::testing::Values(Shape{1, 1, 1}, Shape{2, 2, 2}, Shape{3, 5, 7},
                                            Shape{16, 16, 16}, Shape{17, 33, 9},
                                            Shape{64, 64, 64}, Shape{65, 63, 62},
-                                           Shape{128, 16, 64}, Shape{10, 128, 10}));
+                                           Shape{128, 16, 64}, Shape{10, 128, 10}),
+                         test::ShapeName());
 
 TEST(RecursiveGemm, UnlikeStrassenItAllocatesNothing) {
   // RecursiveGEMM is the scheduler's model precisely because it has no

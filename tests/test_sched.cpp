@@ -8,6 +8,7 @@
 #include "sched/dist_tree.hpp"
 #include "sched/levels.hpp"
 #include "sched/shared_schedule.hpp"
+#include "param_names.hpp"
 
 namespace atalib::sched {
 namespace {
@@ -148,7 +149,8 @@ TEST_P(SharedScheduleP, LoadIsRoughlyBalanced) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PSweep, SharedScheduleP,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 64));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 64),
+                         test::int_name("p"));
 
 TEST(SharedSchedule, DepthGrowsLikePaperStepFunction) {
   // Our tree depth is within one level of eq. (6) across the sweep (the
@@ -234,7 +236,8 @@ TEST_P(DistTreeP, RootIsGemmFirstAsInFigure1) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PSweep, DistTreeP,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64),
+                         test::int_name("p"));
 
 TEST(DistTree, PrePostOrderAreConsistentPermutations) {
   const auto tree = build_dist_tree(100, 100, 16);

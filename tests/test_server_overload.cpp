@@ -419,6 +419,41 @@ TEST(ServerOverload, DeadlineExpiredInQueueSkipsLeafGemms) {
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), sentinel.const_view()), 0.0);
 }
 
+TEST(ServerOverload, DeadlineSettlesOnlyAfterStartedTasksFinish) {
+  // A two-task request whose deadline passes while one task computes and
+  // the other still waits behind a blocked worker: the waiting task skips,
+  // and the future settles only once the computing task is done with C —
+  // a settled future hands C back to the caller, who may free it.
+  api::Server::Options sopts;
+  sopts.threads = 3;  // 2 workers: one computes, one is blocked
+  api::Server server(sopts);
+  const index_t n = 1536;
+  const auto a = random_integer<double>(n, n, 2, 24);
+  auto opts = shared_opts(2, 1);
+  opts.recurse.base_case_elements = kNeverRecurse;  // each task: one long leaf
+  {
+    auto c0 = Matrix<double>::zeros(n, n);
+    server.submit(1.0, a.const_view(), c0.view(), opts).get();
+  }
+
+  WorkerBlocker blocker;
+  blocker.install(server.executor());
+  auto c = Matrix<double>::zeros(n, n);
+  auto dopts = opts;
+  dopts.deadline = Clock::now() + std::chrono::milliseconds(2);
+  auto fut = server.submit(1.0, a.const_view(), c.view(), dopts);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  blocker.release();
+  blocker.done.get();
+
+  EXPECT_THROW(fut.get(), api::DeadlineExceeded);
+  const Matrix<double> at_settle = c.clone();
+  wait_drained(server);
+  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), at_settle.const_view()), 0.0)
+      << "a task wrote C after its request's future settled";
+  EXPECT_EQ(server.stats().deadline_expired, 1u);
+}
+
 TEST(ServerOverload, ShedOldestFreesCapacityForNewWork) {
   // Gate of one in-flight request, kShedOldest. R1 is admitted with a
   // short deadline and stuck behind a blocked worker; once its deadline
@@ -685,6 +720,46 @@ TEST(ServerOverload, DestructorSettlesInflightFuturesWithServerShutdown) {
   EXPECT_THROW(fut.get(), api::ServerShutdown);
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), sentinel.const_view()), 0.0)
       << "a request settled by shutdown must never have computed";
+}
+
+TEST(ServerOverload, ShutdownSettlesOnlyAfterStartedTasksFinish) {
+  // ~Server while one task of a two-task request computes and the other
+  // waits behind a blocked worker: the waiting task skips, and the future
+  // settles with ServerShutdown only once the computing task is done.
+  const index_t n = 1536;
+  const auto a = random_integer<double>(n, n, 2, 62);
+  auto c = Matrix<double>::zeros(n, n);
+  Matrix<double> at_settle;
+  std::thread client;
+  WorkerBlocker blocker;
+  std::thread releaser;
+  {
+    api::Server::Options sopts;
+    sopts.threads = 3;  // 2 workers: one computes, one is blocked
+    api::Server server(sopts);
+    auto opts = shared_opts(2, 1);
+    opts.recurse.base_case_elements = kNeverRecurse;  // each task: one long leaf
+    {
+      auto c0 = Matrix<double>::zeros(n, n);
+      server.submit(1.0, a.const_view(), c0.view(), opts).get();
+    }
+    blocker.install(server.executor());
+    auto fut = server.submit(1.0, a.const_view(), c.view(), opts);
+    client = std::thread([&c, &at_settle, f = std::move(fut)]() mutable {
+      EXPECT_THROW(f.get(), api::ServerShutdown);
+      at_settle = c.clone();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    releaser = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      blocker.release();
+    });
+  }  // ~Server: the computing task is mid-leaf
+  releaser.join();
+  blocker.done.get();
+  client.join();
+  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), at_settle.const_view()), 0.0)
+      << "a task wrote C after its request's future settled";
 }
 
 // ---- Fault-injection-only serving scenarios ---------------------------

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "api/execute.hpp"
 #include "api/plan_cache.hpp"
@@ -24,6 +26,7 @@
 #include "strassen/strassen.hpp"
 #include "strassen/tuner.hpp"
 #include "strassen/workspace.hpp"
+#include "param_names.hpp"
 
 namespace atalib {
 namespace {
@@ -71,7 +74,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{17, 19, 23}, Shape{32, 32, 32}, Shape{33, 31, 29},
                       Shape{64, 64, 64}, Shape{65, 63, 64}, Shape{100, 30, 70},
                       Shape{30, 100, 70}, Shape{70, 30, 100}, Shape{127, 65, 129},
-                      Shape{128, 1, 128}, Shape{1, 64, 64}, Shape{64, 64, 1}));
+                      Shape{128, 1, 128}, Shape{1, 64, 64}, Shape{64, 64, 1}),
+    test::ShapeName());
 
 TEST(Strassen, AccumulatesIntoNonzeroC) {
   auto a = random_integer<double>(20, 15, 3, 5);
@@ -273,6 +277,52 @@ TEST(StrassenTuner, SeededCacheFileIsDeterministicAndFeedsPlanKey) {
   std::remove(path.c_str());
 }
 
+TEST(StrassenTuner, ResolvedCutoffIsMemoizedAcrossThreads) {
+  if (scalar_env_forced()) {
+    GTEST_SKIP() << "tuner is bypassed under ATALIB_FORCE_SCALAR_KERNELS";
+  }
+  const std::string path = testing::TempDir() + "atalib_tuning_memo.txt";
+  const char* isa = kn::isa_name(kn::active_config<double>().isa);
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << isa << " f64 4321\n";
+  }
+  strassen::Tuner tuner(path);
+  std::vector<index_t> seen(8, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] { seen[i] = tuner.base_case_elements(sizeof(double)); });
+  }
+  for (auto& th : threads) th.join();
+  for (const index_t v : seen) EXPECT_EQ(v, 4321);
+  // Once resolved, the value comes from the memo, not the file.
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << isa << " f64 999\n";
+  }
+  EXPECT_EQ(tuner.base_case_elements(sizeof(double)), 4321);
+  std::remove(path.c_str());
+}
+
+TEST(StrassenTuner, NeverRecurseCutoffKeepsTallSkinnyOnTheRecursion) {
+  if (scalar_env_forced()) {
+    GTEST_SKIP() << "tuner is bypassed under ATALIB_FORCE_SCALAR_KERNELS";
+  }
+  // With no recursion, the AtA engine and the panel engine run the same
+  // single syrk_ln on every ladder shape: no confirmed win, so the ratio is
+  // the no-win value, untimed and identical in every process.
+  const std::string path = testing::TempDir() + "atalib_tuning_never.txt";
+  const char* isa = kn::isa_name(kn::active_config<double>().isa);
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << isa << " f64 " << kNeverRecurse << "\n";
+  }
+  strassen::Tuner tuner(path);
+  EXPECT_EQ(tuner.base_case_elements(sizeof(double)), kNeverRecurse);
+  EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), index_t{1} << 20);
+  std::remove(path.c_str());
+}
+
 TEST(StrassenTuner, ForcedScalarEnvIgnoresTunerAndCacheFile) {
   if (!scalar_env_forced()) {
     GTEST_SKIP() << "set ATALIB_FORCE_SCALAR_KERNELS to exercise the bypass";
@@ -290,6 +340,75 @@ TEST(StrassenTuner, ForcedScalarEnvIgnoresTunerAndCacheFile) {
   EXPECT_EQ(tuner.base_case_elements(sizeof(float)),
             static_cast<index_t>(default_base_case_elements(sizeof(float))));
   std::remove(path.c_str());
+}
+
+// The tuner's decision rule, fed synthetic timings (seconds per call).
+const std::vector<index_t> kTestLadder{96, 128, 160, 192, 256, 320};
+
+TEST(StrassenTuner, NoWinOnTheLadderNeverRecurses) {
+  const std::vector<double> gemm{1, 2, 3, 4, 5, 6};
+  const std::vector<double> slower{1.1, 2.2, 3.3, 4.4, 5.5, 6.6};
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, slower), kNeverRecurse);
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, gemm), kNeverRecurse);
+  EXPECT_EQ(strassen::crossover_from_timings({}, {}, {}), kNeverRecurse);
+}
+
+TEST(StrassenTuner, SingleSizeOrSubMarginWinNeverRecurses) {
+  const std::vector<double> gemm{1, 2, 3, 4, 5, 6};
+  // One noisy 20% win at n = 160, lost again at 192 and above.
+  const std::vector<double> single{1.1, 2.2, 2.4, 4.4, 5.5, 6.6};
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, single), kNeverRecurse);
+  // A win at the last ladder size alone has no next size to confirm it.
+  const std::vector<double> last{1.1, 2.2, 3.3, 4.4, 5.5, 5.0};
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, last), kNeverRecurse);
+  // Consistent wins, but each under the 5% margin.
+  std::vector<double> narrow;
+  for (const double t : gemm) narrow.push_back(t * (1.0 - 0.8 * strassen::kCrossoverMargin));
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, narrow), kNeverRecurse);
+}
+
+TEST(StrassenTuner, ConfirmedWinSetsCutoffAtFirstConfirmedSize) {
+  const std::vector<double> gemm{1, 2, 3, 4, 5, 6};
+  // Wins by >= 5% from n* = 192 on (a lone win at 128 does not count).
+  const std::vector<double> confirmed{1.1, 1.5, 3.3, 3.6, 4.5, 5.0};
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, confirmed),
+            2 * 192 * 192 - 1);
+  // Exactly the margin counts as a win; two sizes are enough.
+  const std::vector<double> two{1, 2, 3, 4, 0.95 * 5, 0.95 * 6};
+  EXPECT_EQ(strassen::crossover_from_timings(kTestLadder, gemm, two), 2 * 256 * 256 - 1);
+  // The cut-off makes n* x n* x n* recurse and anything one footprint
+  // element smaller fire the base case.
+  EXPECT_FALSE(gemm_base_case(192, 192, 192, 2 * 192 * 192 - 1, 8));
+}
+
+TEST(StrassenTuner, NeverRecursePlanIsTheBlasPlan) {
+  // At the never-recurse cut-off a kStrassen plan runs plain syrk_ln /
+  // gemm_tn leaves: the same per-slot workspace as a kBlas plan (no
+  // recursion temporaries) and, on real-valued input where one extra
+  // recursion level would round differently, a bitwise-equal result.
+  runtime::ThreadPool pool(4);
+  SharedOptions so;
+  so.threads = 4;
+  so.oversub = 2;
+  so.recurse.base_case_elements = kNeverRecurse;
+  so.tall_skinny_ratio = -1;
+  SharedOptions blas_so = so;
+  blas_so.engine = LeafEngine::kBlas;
+  const index_t m = 300, n = 260;
+  const auto strassen_plan =
+      api::AtaPlan::build(api::shared_plan_key(api::dtype_of<double>(), m, n, so));
+  const auto blas_plan =
+      api::AtaPlan::build(api::shared_plan_key(api::dtype_of<double>(), m, n, blas_so));
+  ASSERT_EQ(strassen_plan->engine(), LeafEngine::kStrassen);
+  EXPECT_EQ(strassen_plan->workspace_bound(), blas_plan->workspace_bound());
+  EXPECT_EQ(strassen_plan->task_workspace(), blas_plan->task_workspace());
+
+  const auto a = random_gaussian<double>(m, n, 91);
+  auto c_strassen = Matrix<double>::zeros(n, n);
+  auto c_blas = Matrix<double>::zeros(n, n);
+  api::execute(*strassen_plan, 1.0, a.const_view(), c_strassen.view(), &pool);
+  api::execute(*blas_plan, 1.0, a.const_view(), c_blas.view(), &pool);
+  EXPECT_EQ(max_abs_diff_lower<double>(c_strassen.const_view(), c_blas.const_view()), 0.0);
 }
 
 TEST(StrassenTuner, ResolvedCutoffLandsInPlanKey) {

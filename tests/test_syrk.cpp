@@ -12,6 +12,7 @@
 #include "common/arena.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
+#include "param_names.hpp"
 
 namespace atalib {
 namespace {
@@ -47,7 +48,8 @@ TEST_P(SyrkShapes, NeverTouchesStrictUpperTriangle) {
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, SyrkShapes,
                          ::testing::Values(Shape{1, 1}, Shape{3, 2}, Shape{8, 8}, Shape{5, 17},
                                            Shape{33, 31}, Shape{64, 64}, Shape{7, 129},
-                                           Shape{200, 3}, Shape{128, 130}, Shape{257, 127}));
+                                           Shape{200, 3}, Shape{128, 130}, Shape{257, 127}),
+                         test::ShapeName());
 
 TEST(Syrk, AccumulatesWithAlpha) {
   auto a = random_integer<double>(10, 6, 3, 4);
@@ -79,7 +81,8 @@ TEST_P(ParSyrkThreads, MatchesSerialWithEqualAreaStripes) {
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParSyrkThreads, ::testing::Values(1, 2, 3, 5, 8, 16, 53));
+INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParSyrkThreads, ::testing::Values(1, 2, 3, 5, 8, 16, 53),
+                         test::int_name("threads"));
 
 TEST(ParSyrk, MoreThreadsThanRowsClamps) {
   auto a = random_integer<double>(10, 4, 2, 14);
@@ -120,7 +123,8 @@ TEST_P(PanelSyrkShapes, MatchesReferenceExactlyOnIntegers) {
 INSTANTIATE_TEST_SUITE_P(TallShapeSweep, PanelSyrkShapes,
                          ::testing::Values(Shape{1, 1}, Shape{7, 3}, Shape{256, 8},
                                            Shape{300, 17}, Shape{513, 31}, Shape{1000, 5},
-                                           Shape{1030, 64}, Shape{2048, 24}));
+                                           Shape{1030, 64}, Shape{2048, 24}),
+                         test::ShapeName());
 
 TEST(PanelSyrk, NeverTouchesStrictUpperTriangle) {
   auto a = random_uniform<double>(700, 24, 7);

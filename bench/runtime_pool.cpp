@@ -1,13 +1,13 @@
-// Runtime A/B: warm persistent pool vs per-call fork-join on repeated
-// AtA-S calls.
+// Runtime pool trajectory: the warm persistent pool on repeated AtA-S
+// calls.
 //
 // The serving workload the ROADMAP targets is "the same Gram matrix shape,
 // over and over": per-call thread creation and per-task workspace mallocs
-// are pure overhead there. This bench runs the identical AtA-S schedule
-// through both Executor engines and reports per-call latency plus the
-// pool's workspace-growth counters — after the warm-up call the pool must
-// perform zero slab allocations (the "no malloc on the steady-state hot
-// path" acceptance check prints at the bottom).
+// are pure overhead there. This bench runs one AtA-S schedule on the pool
+// and reports per-call latency, the NUMA steal counters, and the pool's
+// workspace-growth counters — after the warm-up call the pool must perform
+// zero slab allocations (the "no malloc on the steady-state hot path"
+// acceptance check prints at the bottom; a nonzero count exits 1).
 
 #include <cstdio>
 #include <string>
@@ -55,18 +55,15 @@ int main(int argc, char** argv) {
   bench::add_common_flags(flags);
   flags.add_int("threads", 4, "AtA-S P (task-tree width)");
   flags.add_int("oversub", 4, "task over-decomposition factor (P' = oversub * P)");
-  flags.add_int("calls", 20, "repeated AtA-S calls per engine");
-  flags.add_bool("strict-latency", false,
-                 "also fail (exit 1) when the warm pool loses the latency A/B; off by "
-                 "default because wall-clock comparisons flake on shared/1-core hosts");
+  flags.add_int("calls", 20, "repeated AtA-S calls");
   if (!flags.parse(argc, argv)) return 1;
   const double scale = flags.get_double("scale");
   const int threads = static_cast<int>(flags.get_int("threads"));
   const int oversub = static_cast<int>(flags.get_int("oversub"));
   const int calls = std::max(1, static_cast<int>(flags.get_int("calls")));
 
-  bench::print_banner("Persistent work-stealing pool vs fork-join on repeated AtA-S",
-                      "runtime A/B (post-paper engineering; not a paper figure)");
+  bench::print_banner("Persistent work-stealing pool on repeated AtA-S",
+                      "runtime trajectory (post-paper engineering; not a paper figure)");
 
   const index_t m = bench::scaled(640, scale);
   const index_t n = bench::scaled(512, scale);
@@ -79,22 +76,19 @@ int main(int argc, char** argv) {
   opts.recurse = bench::recurse_from_flags(flags);
 
   runtime::ThreadPool pool(threads);
-  runtime::ForkJoinExecutor forkjoin(threads);
+  opts.executor = &pool;
 
-  auto call_with = [&](runtime::Executor& exec) {
-    opts.executor = &exec;
+  auto call = [&] {
     fill_view(c.view(), 0.0);
     ata_shared(1.0, a.const_view(), c.view(), opts);
   };
 
-  // Warm both engines once (first pool call grows the worker arenas).
-  call_with(pool);
-  call_with(forkjoin);
+  // Warm once (the first call grows the worker arenas).
+  call();
   const std::size_t grows_warm = pool_grows(pool);
 
-  const Result rp = time_calls([&] { call_with(pool); }, calls);
+  const Result rp = time_calls(call, calls);
   const std::size_t grows_steady = pool_grows(pool) - grows_warm;
-  const Result rf = time_calls([&] { call_with(forkjoin); }, calls);
 
   const metrics::NumaPoolStats numa = pool.numa_stats();
 
@@ -106,42 +100,31 @@ int main(int argc, char** argv) {
   table.add_row({pool.name(), Table::num(rp.mean_ms, 3), Table::num(rp.min_ms, 3),
                  std::to_string(numa.local_steals) + "/" + std::to_string(numa.remote_steals),
                  std::to_string(grows_steady)});
-  table.add_row({forkjoin.name(), Table::num(rf.mean_ms, 3), Table::num(rf.min_ms, 3), "-",
-                 "-"});
   table.print();
   std::printf("pool topology: %s\n", numa.to_string().c_str());
 
   bench::JsonWriter json(flags.get_string("json"));
-  for (const auto& [engine, res] : {std::pair<const char*, const Result*>{"pool", &rp},
-                                    {"forkjoin", &rf}}) {
-    bench::JsonWriter::Record rec;
-    rec.str("engine", engine)
-        .num("m", static_cast<std::uint64_t>(m))
-        .num("n", static_cast<std::uint64_t>(n))
-        .num("threads", threads)
-        .num("oversub", oversub)
-        .num("calls", calls)
-        .num("mean_ms", res->mean_ms)
-        .num("min_ms", res->min_ms)
-        .num("calls_per_s", res->mean_ms > 0 ? 1e3 / res->mean_ms : 0.0);
-    if (std::string(engine) == "pool") {
-      rec.num("numa_nodes", numa.nodes)
-          .num("fake_topology", numa.fake_topology ? 1 : 0)
-          .num("local_steals", numa.local_steals)
-          .num("remote_steals", numa.remote_steals)
-          .num("steal_locality", numa.steal_locality())
-          .num("scheduled_imbalance", numa.scheduled_imbalance())
-          .num("grows_steady", static_cast<std::uint64_t>(grows_steady));
-    }
-    json.add(rec);
-  }
+  bench::JsonWriter::Record rec;
+  rec.str("engine", pool.name())
+      .num("m", static_cast<std::uint64_t>(m))
+      .num("n", static_cast<std::uint64_t>(n))
+      .num("threads", threads)
+      .num("oversub", oversub)
+      .num("calls", calls)
+      .num("mean_ms", rp.mean_ms)
+      .num("min_ms", rp.min_ms)
+      .num("calls_per_s", rp.mean_ms > 0 ? 1e3 / rp.mean_ms : 0.0)
+      .num("numa_nodes", numa.nodes)
+      .num("fake_topology", numa.fake_topology ? 1 : 0)
+      .num("local_steals", numa.local_steals)
+      .num("remote_steals", numa.remote_steals)
+      .num("steal_locality", numa.steal_locality())
+      .num("scheduled_imbalance", numa.scheduled_imbalance())
+      .num("grows_steady", static_cast<std::uint64_t>(grows_steady));
+  json.add(rec);
 
-  const bool latency_ok = rp.min_ms <= rf.min_ms * 1.05;  // 5% noise floor
   std::printf("check: steady-state arena grows = %zu (want 0: no workspace malloc when warm)\n",
               grows_steady);
-  std::printf("check: warm-pool min latency %s fork-join (%.3f ms vs %.3f ms)\n",
-              latency_ok ? "<=" : "EXCEEDS", rp.min_ms, rf.min_ms);
   if (grows_steady != 0) return 1;
-  if (flags.get_bool("strict-latency") && !latency_ok) return 1;
   return json.flush() ? 0 : 1;
 }

@@ -180,9 +180,8 @@ void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c
   // that grows monotonically on first use — pre-growing every pool slot
   // for it would pin slots-many full-size slabs that never see a task.
   if (ntasks > 1 && plan.key().p > 1) warm_for(plan, exec);
-  // Width p caps the fork-join engine at the planned thread count; the
-  // pool treats it as advisory (see Executor::run) — its idle workers may
-  // still steal, which is always safe on write-disjoint tasks.
+  // Width p is advisory to the pool (see Executor::run) — its idle
+  // workers may still steal, which is always safe on write-disjoint tasks.
   auto body = [&](int t, runtime::TaskContext& ctx) {
     run_plan_task(plan, t, alpha, a, c, ctx);
   };

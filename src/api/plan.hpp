@@ -108,9 +108,9 @@ class AtaPlan {
   /// `nnodes` nodes: plain round-robin over the write-disjoint C stripes.
   /// Computed against the executor at execute time rather than stored,
   /// because plans are cached by *shape* — one plan may serve executors
-  /// with different topologies (real pool, fake-topology pool, fork-join)
-  /// within a process. Deterministic, so per-node scheduled counts are a
-  /// test oracle (tests/test_numa.cpp).
+  /// with different topologies (real pool, fake-topology pool) within a
+  /// process. Deterministic, so per-node scheduled counts are a test
+  /// oracle (tests/test_numa.cpp).
   int preferred_node(int task, int nnodes) const {
     return nnodes > 1 ? task % nnodes : 0;
   }

@@ -45,17 +45,11 @@ index_t panel_syrk_workspace_bound(index_t m, index_t n) {
   return syrk_workspace_bound<T>(m, n);
 }
 
-template <typename T>
-index_t panel_gemm_workspace_bound(index_t m, index_t n, index_t k) {
-  return gemm_workspace_bound<T>(n, k, m);
-}
-
 #define ATALIB_PANEL_SYRK_INST(T)                                                   \
   template void panel_syrk_ln<T>(T, ConstMatrixView<T>, MatrixView<T>, Arena<T>*);  \
   template void panel_gemm_tn<T>(T, ConstMatrixView<T>, ConstMatrixView<T>,         \
                                  MatrixView<T>, Arena<T>*);                         \
-  template index_t panel_syrk_workspace_bound<T>(index_t, index_t);                 \
-  template index_t panel_gemm_workspace_bound<T>(index_t, index_t, index_t)
+  template index_t panel_syrk_workspace_bound<T>(index_t, index_t)
 ATALIB_PANEL_SYRK_INST(float);
 ATALIB_PANEL_SYRK_INST(double);
 #undef ATALIB_PANEL_SYRK_INST

@@ -46,20 +46,17 @@ template <typename T>
 void panel_gemm_tn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c,
                    Arena<T>* arena = nullptr);
 
-/// Arena elements one panel_syrk_ln / panel_gemm_tn call may draw — the
-/// per-panel pack bound maximized over every dispatchable ISA (the plan
-/// layer caches it, so it must stay valid across forced-ISA toggles).
+/// Arena elements one panel_syrk_ln call may draw — the per-panel pack
+/// bound maximized over every dispatchable ISA (the plan layer caches it,
+/// so it must stay valid across forced-ISA toggles).
 template <typename T>
 index_t panel_syrk_workspace_bound(index_t m, index_t n);
-template <typename T>
-index_t panel_gemm_workspace_bound(index_t m, index_t n, index_t k);
 
 #define ATALIB_PANEL_SYRK_EXTERN(T)                                                        \
   extern template void panel_syrk_ln<T>(T, ConstMatrixView<T>, MatrixView<T>, Arena<T>*);  \
   extern template void panel_gemm_tn<T>(T, ConstMatrixView<T>, ConstMatrixView<T>,         \
                                         MatrixView<T>, Arena<T>*);                         \
-  extern template index_t panel_syrk_workspace_bound<T>(index_t, index_t);                 \
-  extern template index_t panel_gemm_workspace_bound<T>(index_t, index_t, index_t)
+  extern template index_t panel_syrk_workspace_bound<T>(index_t, index_t)
 ATALIB_PANEL_SYRK_EXTERN(float);
 ATALIB_PANEL_SYRK_EXTERN(double);
 #undef ATALIB_PANEL_SYRK_EXTERN

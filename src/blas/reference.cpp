@@ -40,23 +40,10 @@ void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c) {
   }
 }
 
-template <typename T>
-void ata_full(T alpha, ConstMatrixView<T> a, MatrixView<T> c) {
-  assert(c.rows == a.cols && c.cols == a.cols);
-  for (index_t i = 0; i < c.rows; ++i) {
-    for (index_t j = 0; j < c.cols; ++j) {
-      T acc = T(0);
-      for (index_t l = 0; l < a.rows; ++l) acc += a(l, i) * a(l, j);
-      c(i, j) += alpha * acc;
-    }
-  }
-}
-
 #define ATALIB_REF_INST(T)                                                              \
   template void gemm_tn<T>(T, ConstMatrixView<T>, ConstMatrixView<T>, MatrixView<T>);  \
   template void gemm_nn<T>(T, ConstMatrixView<T>, ConstMatrixView<T>, MatrixView<T>);  \
-  template void syrk_ln<T>(T, ConstMatrixView<T>, MatrixView<T>);                      \
-  template void ata_full<T>(T, ConstMatrixView<T>, MatrixView<T>)
+  template void syrk_ln<T>(T, ConstMatrixView<T>, MatrixView<T>)
 ATALIB_REF_INST(float);
 ATALIB_REF_INST(double);
 #undef ATALIB_REF_INST

@@ -21,18 +21,12 @@ void gemm_nn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> 
 template <typename T>
 void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c);
 
-/// Full (both triangles) C += alpha * A^T A; convenience for tests that
-/// compare against symmetrized outputs.
-template <typename T>
-void ata_full(T alpha, ConstMatrixView<T> a, MatrixView<T> c);
-
 #define ATALIB_REF_EXTERN(T)                                                            \
   extern template void gemm_tn<T>(T, ConstMatrixView<T>, ConstMatrixView<T>,           \
                                   MatrixView<T>);                                      \
   extern template void gemm_nn<T>(T, ConstMatrixView<T>, ConstMatrixView<T>,           \
                                   MatrixView<T>);                                      \
-  extern template void syrk_ln<T>(T, ConstMatrixView<T>, MatrixView<T>);               \
-  extern template void ata_full<T>(T, ConstMatrixView<T>, MatrixView<T>)
+  extern template void syrk_ln<T>(T, ConstMatrixView<T>, MatrixView<T>)
 ATALIB_REF_EXTERN(float);
 ATALIB_REF_EXTERN(double);
 #undef ATALIB_REF_EXTERN

@@ -8,10 +8,8 @@
 // tasks to a runtime::Executor: by default the persistent work-stealing
 // thread pool (runtime/thread_pool.hpp), whose warm workers and reusable
 // per-worker workspace arenas make repeated calls thread-creation- and
-// malloc-free; alternatively the paper's original fork-join OpenMP scheme
-// (runtime::ForkJoinExecutor), kept behind the same interface for A/B
-// benchmarking. Disjoint writes mean no locks and no atomics on C either
-// way — the paper's "perfect parallelism".
+// malloc-free. Disjoint writes mean no locks and no atomics on C — the
+// paper's "perfect parallelism".
 
 #include <chrono>
 #include <cstdint>

@@ -1,70 +1,9 @@
 #include "runtime/executor.hpp"
 
-#include <algorithm>
-#include <thread>
-
 #include "runtime/thread_pool.hpp"
-
-#ifdef ATALIB_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace atalib::runtime {
 
-ForkJoinExecutor::ForkJoinExecutor(int threads) {
-  int n = threads > 0 ? threads : static_cast<int>(std::thread::hardware_concurrency());
-  n = std::max(1, n);
-  slots_.reserve(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) slots_.push_back(std::make_unique<Workspace>());
-}
-
-const char* ForkJoinExecutor::name() const {
-#ifdef ATALIB_HAVE_OPENMP
-  return "forkjoin-omp";
-#else
-  return "forkjoin-serial";
-#endif
-}
-
-void ForkJoinExecutor::run(int ntasks, const TaskFn& fn, int width) {
-  if (ntasks <= 0) return;
-  MutexLock run_lk(run_mu_);
-  // The oversubscription clamp: never more threads than tasks, slots, or
-  // the caller's width (the seed's `num_threads(ntasks)` spawned one
-  // thread per task regardless of either).
-  int nthreads = std::min(concurrency(), ntasks);
-  if (width > 0) nthreads = std::min(nthreads, width);
-#ifdef ATALIB_HAVE_OPENMP
-  if (nthreads > 1) {
-#pragma omp parallel num_threads(nthreads)
-    {
-      TaskContext ctx;
-      ctx.worker = omp_get_thread_num();
-      ctx.workspace = slots_[static_cast<std::size_t>(ctx.worker)].get();
-#pragma omp for schedule(static)
-      for (int t = 0; t < ntasks; ++t) fn(t, ctx);
-    }
-    return;
-  }
-#endif
-  TaskContext ctx;
-  ctx.worker = 0;
-  ctx.workspace = slots_[0].get();
-  for (int t = 0; t < ntasks; ++t) fn(t, ctx);
-}
-
-void ForkJoinExecutor::warm_workspaces(std::size_t float_elems, std::size_t double_elems) {
-  MutexLock run_lk(run_mu_);
-  for (auto& slot : slots_) slot->warm(float_elems, double_elems);
-}
-
-Executor& default_executor() {
-#ifdef ATALIB_RUNTIME_FORKJOIN
-  static ForkJoinExecutor exec;
-  return exec;
-#else
-  return ThreadPool::global();
-#endif
-}
+Executor& default_executor() { return ThreadPool::global(); }
 
 }  // namespace atalib::runtime

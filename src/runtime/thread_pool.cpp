@@ -445,12 +445,6 @@ std::future<void> ThreadPool::submit(int ntasks, TaskFn fn) {
 }
 
 std::future<void> ThreadPool::submit(int ntasks, TaskFn fn,
-                                     const NodeHintFn& preferred_node) {
-  return submit_with_hint(ntasks, std::move(fn),
-                          preferred_node ? &preferred_node : nullptr, 0);
-}
-
-std::future<void> ThreadPool::submit(int ntasks, TaskFn fn,
                                      const SubmitOptions& opts) {
   return submit_with_hint(ntasks, std::move(fn),
                           opts.preferred_node ? &opts.preferred_node : nullptr,

@@ -7,8 +7,7 @@
 // indices are block-distributed over the per-slot deques and every slot
 // drains its own queue front-first, then steals from the cold end of other
 // slots' queues, regardless of which batch a task belongs to. Threads are
-// never created and no workspace is allocated on the steady-state hot path
-// — that is the whole point versus the fork-join engine.
+// never created and no workspace is allocated on the steady-state hot path.
 //
 // Two admission styles share the machinery:
 //   - run(ntasks, fn): blocking. The caller additionally participates as
@@ -32,9 +31,9 @@
 // hosts, skipping only the affinity syscalls). Three mechanisms follow
 // from the grouping:
 //   - placement: enqueue can honor a per-task preferred-node hint
-//     (run_placed / submit with a NodeHintFn), distributing each task
-//     round-robin over its node's slots; per-node *scheduled* counters
-//     record assignment deterministically.
+//     (run_placed, or submit with SubmitOptions::preferred_node),
+//     distributing each task round-robin over its node's slots; per-node
+//     *scheduled* counters record assignment deterministically.
 //   - memory: a growing warm_workspaces() is executed by each worker on
 //     its own slot (first touch), so a slot's arena pages live on the
 //     worker's node — never on the admitting client's.
@@ -135,14 +134,7 @@ class ThreadPool final : public Executor {
   /// future from task context can never deadlock.
   std::future<void> submit(int ntasks, TaskFn fn);
 
-  /// submit() with per-task preferred-node hints (see run_placed). Used by
-  /// the serving front-end to pin a plan's write-disjoint C stripes to
-  /// nodes round-robin.
-  std::future<void> submit(int ntasks, TaskFn fn, const NodeHintFn& preferred_node);
-
-  /// Knobs for the queued path that don't fit positional overloads (an
-  /// int priority would be ambiguous against NodeHintFn's converting
-  /// constructor).
+  /// Knobs for the queued path.
   struct SubmitOptions {
     /// Batch priority class: at every pop and steal point a slot drains
     /// the highest-priority class present, FIFO within the class. Equal
@@ -152,7 +144,9 @@ class ThreadPool final : public Executor {
     /// because it binds only the unhinted run() path, which always
     /// enqueues at priority 0.
     int priority = 0;
-    /// Per-task preferred-node hint (see run_placed); empty = none.
+    /// Per-task preferred-node hint (see run_placed); empty = none. The
+    /// serving front-end uses it to pin a plan's write-disjoint C stripes
+    /// to nodes round-robin.
     NodeHintFn preferred_node;
   };
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "blas/gemm.hpp"
-#include "blas/parallel.hpp"
 #include "blas/reference.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
@@ -109,22 +108,6 @@ TEST(Gemm, FloatPrecisionWithinTolerance) {
   blas::ref::gemm_tn(1.0f, a.const_view(), b.const_view(), c_ref.view());
   EXPECT_LT(max_abs_diff<float>(c.const_view(), c_ref.const_view()), mm_tolerance<float>(n));
 }
-
-class ParGemmThreads : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParGemmThreads, MatchesSerial) {
-  const int threads = GetParam();
-  auto a = random_integer<double>(50, 41, 3, 11);
-  auto b = random_integer<double>(50, 37, 3, 12);
-  auto c = Matrix<double>::zeros(41, 37);
-  auto c_ref = Matrix<double>::zeros(41, 37);
-  blas::gemm_tn(1.0, a.const_view(), b.const_view(), c_ref.view());
-  blas::par::gemm_tn(1.0, a.const_view(), b.const_view(), c.view(), threads);
-  EXPECT_EQ(max_abs_diff<double>(c.const_view(), c_ref.const_view()), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParGemmThreads, ::testing::Values(1, 2, 3, 4, 8, 16, 64),
-                         test::int_name("threads"));
 
 }  // namespace
 }  // namespace atalib

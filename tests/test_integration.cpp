@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "ata/ata.hpp"
-#include "blas/parallel.hpp"
 #include "blas/reference.hpp"
 #include "blas/syrk.hpp"
 #include "dist/ata_dist.hpp"
@@ -149,7 +148,7 @@ TEST(Integration, SharedAndDistAgreeAcrossPrecisions) {
 
 TEST(Integration, SharedProfileMatchesParallelExecution) {
   // ata_shared_profile runs the same schedule serially; its result and the
-  // OpenMP execution must agree bitwise, and its timing fields must be
+  // pool execution must agree bitwise, and its timing fields must be
   // internally consistent.
   auto a = random_integer<double>(80, 64, 3, 91);
   SharedOptions so;

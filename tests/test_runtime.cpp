@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "ata/ata.hpp"
-#include "blas/parallel.hpp"
 #include "blas/reference.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
@@ -333,7 +332,7 @@ TEST(AtaSharedPool, BitwiseMatchesSerialAtaOnIntegerInputs) {
   }
 }
 
-TEST(AtaSharedPool, DefaultExecutorAndForkJoinAgree) {
+TEST(AtaSharedPool, DefaultExecutorMatchesReference) {
   const auto a = random_integer<float>(72, 56, 2, 77);
   auto c_ref = Matrix<float>::zeros(56, 56);
   blas::ref::syrk_ln(1.0f, a.const_view(), c_ref.view());
@@ -345,13 +344,7 @@ TEST(AtaSharedPool, DefaultExecutorAndForkJoinAgree) {
   auto c_default = Matrix<float>::zeros(56, 56);
   ata_shared(1.0f, a.const_view(), c_default.view(), so);  // default executor
 
-  runtime::ForkJoinExecutor forkjoin(4);
-  so.executor = &forkjoin;
-  auto c_fj = Matrix<float>::zeros(56, 56);
-  ata_shared(1.0f, a.const_view(), c_fj.view(), so);
-
   EXPECT_EQ(max_abs_diff_lower<float>(c_default.const_view(), c_ref.const_view()), 0.0);
-  EXPECT_EQ(max_abs_diff_lower<float>(c_fj.const_view(), c_ref.const_view()), 0.0);
 }
 
 TEST(AtaSharedPool, BlasEngineAndProfileAgreeOverPool) {
@@ -375,27 +368,6 @@ TEST(AtaSharedPool, BlasEngineAndProfileAgreeOverPool) {
   const auto profile = ata_shared_profile(1.0, a.const_view(), c_prof.view(), so);
   EXPECT_EQ(static_cast<int>(profile.task_seconds.size()), 6 * 3);
   EXPECT_EQ(max_abs_diff_lower<double>(c_prof.const_view(), c_ref.const_view()), 0.0);
-}
-
-// ---- Parallel BLAS over an explicit executor ---------------------------
-
-TEST(BlasParExecutor, StripedKernelsMatchReference) {
-  runtime::ThreadPool pool(4);
-  const index_t m = 48, n = 36, k = 28;
-  const auto a = random_integer<double>(m, n, 3, 5);
-  const auto b = random_integer<double>(m, k, 3, 6);
-
-  auto c_ref = Matrix<double>::zeros(n, k);
-  blas::ref::gemm_tn(1.0, a.const_view(), b.const_view(), c_ref.view());
-  auto c_par = Matrix<double>::zeros(n, k);
-  blas::par::gemm_tn(1.0, a.const_view(), b.const_view(), c_par.view(), 7, pool);
-  EXPECT_EQ(max_abs_diff<double>(c_par.const_view(), c_ref.const_view()), 0.0);
-
-  auto s_ref = Matrix<double>::zeros(n, n);
-  blas::ref::syrk_ln(1.0, a.const_view(), s_ref.view());
-  auto s_par = Matrix<double>::zeros(n, n);
-  blas::par::syrk_ln(1.0, a.const_view(), s_par.view(), 5, pool);
-  EXPECT_EQ(max_abs_diff_lower<double>(s_par.const_view(), s_ref.const_view()), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <string>
 #include <type_traits>
 
+#include "api/batch.hpp"
 #include "common/timer.hpp"
 #include "dist/block_io.hpp"
 #include "dist/harness.hpp"
@@ -148,16 +149,6 @@ void check_shared(const AtaPlan& plan, ConstMatrixView<T> a, MatrixView<T> c) {
   }
 }
 
-void warm_for(const AtaPlan& plan, runtime::Executor& exec) {
-  const std::size_t bound = plan.workspace_bound();
-  if (bound == 0) return;  // the BLAS engine is allocation-free
-  if (plan.key().dtype == Dtype::kF32) {
-    exec.warm_workspaces(bound, 0);
-  } else {
-    exec.warm_workspaces(0, bound);
-  }
-}
-
 template <typename T>
 void run_plan_task(const AtaPlan& plan, int task, T alpha, ConstMatrixView<T> a,
                    MatrixView<T> c, runtime::TaskContext& ctx) {
@@ -171,30 +162,27 @@ void run_plan_task(const AtaPlan& plan, int task, T alpha, ConstMatrixView<T> a,
 }
 
 template <typename T>
-void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c,
-             runtime::Executor* executor) {
-  check_shared(plan, a, c);
+void execute(std::shared_ptr<const AtaPlan> plan, T alpha, ConstMatrixView<T> a,
+             MatrixView<T> c, runtime::Executor* executor) {
+  check_shared(*plan, a, c);
   runtime::Executor& exec = executor ? *executor : runtime::default_executor();
-  const int ntasks = static_cast<int>(plan.schedule().tasks.size());
-  // A one-task or width-1 batch executes inline/serial on one workspace
-  // that grows monotonically on first use — pre-growing every pool slot
-  // for it would pin slots-many full-size slabs that never see a task.
-  if (ntasks > 1 && plan.key().p > 1) warm_for(plan, exec);
   // Width p is advisory to the pool (see Executor::run) — its idle
   // workers may still steal, which is always safe on write-disjoint tasks.
-  auto body = [&](int t, runtime::TaskContext& ctx) {
-    run_plan_task(plan, t, alpha, a, c, ctx);
-  };
-  const int nnodes = exec.numa_nodes();
-  if (nnodes > 1) {
-    // Pin the plan's write-disjoint C stripes to nodes round-robin so each
-    // stripe's packed panels and output pages stay node-local; flat
-    // executors skip the hint machinery entirely.
-    exec.run_placed(ntasks, body, plan.key().p,
-                    [&plan, nnodes](int t) { return plan.preferred_node(t, nnodes); });
-  } else {
-    exec.run(ntasks, body, plan.key().p);
-  }
+  const int width = plan->key().p;
+  const int ntasks = static_cast<int>(plan->schedule().tasks.size());
+  const std::size_t bound = plan->workspace_bound();
+  const AtaRequest<T> req{alpha, a, c};
+  const FusedBatch<T> batch(BatchPlan{{std::move(plan)}, {0}, {0, ntasks}, bound},
+                            std::span<const AtaRequest<T>>(&req, 1), exec.concurrency());
+  if (batch.nchunks() > 1 && width > 1) batch.warm(exec);
+  // A flat executor gets an empty hint, which the pool runs as plain block
+  // distribution.
+  exec.run_placed(
+      batch.nchunks(),
+      [&batch](int t, runtime::TaskContext& ctx) {
+        for (const BatchUnit& unit : batch.units_of(t)) batch.run_unit(unit, ctx);
+      },
+      width, batch.node_hint(exec.numa_nodes()));
 }
 
 template <typename T>
@@ -204,14 +192,6 @@ SharedProfile execute_profile(const AtaPlan& plan, T alpha, ConstMatrixView<T> a
   runtime::Workspace workspace;  // one reusable arena across all timed tasks
   SharedProfile profile;
   const auto& tasks = plan.schedule().tasks;
-  // Report where the placement hints would home each task on the default
-  // executor's topology (profiling itself runs serially regardless).
-  const int nnodes = std::max(1, runtime::default_executor().numa_nodes());
-  profile.tasks_per_node.assign(static_cast<std::size_t>(nnodes), 0);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    ++profile.tasks_per_node[static_cast<std::size_t>(
-        plan.preferred_node(static_cast<int>(i), nnodes))];
-  }
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     Arena<T>& arena =
         workspace.arena<T>(static_cast<std::size_t>(plan.task_workspace()[i]));
@@ -258,8 +238,8 @@ dist::DistResult<T> execute_dist(const AtaPlan& plan, T alpha, const Matrix<T>& 
 }
 
 #define ATALIB_API_EXECUTE_INST(T)                                                  \
-  template void execute<T>(const AtaPlan&, T, ConstMatrixView<T>, MatrixView<T>,    \
-                           runtime::Executor*);                                     \
+  template void execute<T>(std::shared_ptr<const AtaPlan>, T, ConstMatrixView<T>,   \
+                           MatrixView<T>, runtime::Executor*);                      \
   template SharedProfile execute_profile<T>(const AtaPlan&, T, ConstMatrixView<T>,  \
                                             MatrixView<T>);                         \
   template dist::DistResult<T> execute_dist<T>(const AtaPlan&, T, const Matrix<T>&,  \

@@ -4,14 +4,14 @@
 //
 // The warm path — every call after a plan's first execution on a given
 // executor — performs zero schedule builds (the plan is immutable) and
-// zero workspace slab allocations (warm_for() raises the executor's
+// zero workspace slab allocations (the batch raises the executor's
 // per-slot arenas to the plan's high-water mark once; subsequent warms are
 // two atomic loads on the pool). tests/test_api.cpp pins both properties
 // with the sched build counters and the Workspace grow counters.
 //
-// These are the bodies the thin wrappers (ata_shared, ata_shared_profile,
-// ata_dist) and the serving front-end (api::Server) all execute through,
-// so the shared and distributed layers keep one planning path.
+// The thin wrappers (ata_shared, ata_shared_profile, ata_dist) execute
+// through these bodies; execute() itself is a one-request fused batch on
+// the core api::Server also runs (api/batch.hpp).
 
 #include "api/plan.hpp"
 #include "common/timer.hpp"
@@ -23,10 +23,11 @@ namespace atalib::api {
 /// lower(C) += alpha * A^T A over a shared-mode plan. A must be the
 /// plan's m x n shape (C n x n) and T its dtype; throws
 /// std::invalid_argument otherwise. `executor` null uses
-/// runtime::default_executor().
+/// runtime::default_executor(). Slots are warmed only when the call fans
+/// out (more than one task and plan width > 1).
 template <typename T>
-void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c,
-             runtime::Executor* executor = nullptr);
+void execute(std::shared_ptr<const AtaPlan> plan, T alpha, ConstMatrixView<T> a,
+             MatrixView<T> c, runtime::Executor* executor = nullptr);
 
 /// Serial per-task timing of a shared-mode plan (see SharedProfile).
 template <typename T>
@@ -44,25 +45,21 @@ template <typename T>
 dist::DistResult<T> execute_dist(const AtaPlan& plan, T alpha, const Matrix<T>& a,
                                  const Timer* wall = nullptr);
 
-/// One task of a shared-mode plan on an executor slot — the batch body
-/// execute() and Server::submit() both run. `task` indexes
+/// One task of a shared-mode plan on an executor slot — what every unit of
+/// a fused batch (FusedBatch::run_unit) runs. `task` indexes
 /// plan.schedule().tasks; scratch comes from ctx's slot workspace, sized
 /// to plan.workspace_bound().
 template <typename T>
 void run_plan_task(const AtaPlan& plan, int task, T alpha, ConstMatrixView<T> a,
                    MatrixView<T> c, runtime::TaskContext& ctx);
 
-/// Pre-grow every executor slot to a shared-mode plan's workspace bound
-/// (no-op once warm). Dtype-dispatches on the plan key.
-void warm_for(const AtaPlan& plan, runtime::Executor& exec);
-
 /// Throw std::invalid_argument unless (mode, dtype, shape) all match.
 template <typename T>
 void check_shared(const AtaPlan& plan, ConstMatrixView<T> a, MatrixView<T> c);
 
 #define ATALIB_API_EXECUTE_EXTERN(T)                                                       \
-  extern template void execute<T>(const AtaPlan&, T, ConstMatrixView<T>, MatrixView<T>,    \
-                                  runtime::Executor*);                                     \
+  extern template void execute<T>(std::shared_ptr<const AtaPlan>, T, ConstMatrixView<T>,   \
+                                  MatrixView<T>, runtime::Executor*);                      \
   extern template SharedProfile execute_profile<T>(const AtaPlan&, T, ConstMatrixView<T>,  \
                                                    MatrixView<T>);                         \
   extern template dist::DistResult<T> execute_dist<T>(const AtaPlan&, T, const Matrix<T>&, \

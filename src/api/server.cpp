@@ -5,10 +5,8 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "api/execute.hpp"
@@ -35,7 +33,7 @@ std::uint64_t elapsed_ns(SteadyClock::time_point from, SteadyClock::time_point t
 }  // namespace
 
 Server::Server(const Options& opts)
-    : cache_(opts.plan_capacity, opts.plan_shards),
+    : cache_(opts.plan_capacity, PlanCache::kDefaultShards),
       max_inflight_(opts.max_inflight_requests),
       max_batches_(opts.max_queued_batches),
       policy_(opts.admission),
@@ -227,22 +225,9 @@ metrics::ServerStats Server::stats() const {
 template <typename T>
 std::future<void> Server::submit(T alpha, ConstMatrixView<T> a, MatrixView<T> c,
                                  SharedOptions opts) {
-  // Reject a mismatched C before touching the gate or the cache: the check
-  // needs no plan, and a rejected request must not pay a schedule build or
-  // insert an entry that could evict a plan warm traffic is using.
-  if (c.rows != a.cols || c.cols != a.cols) {
-    throw std::invalid_argument("Server::submit: C must be n x n = " +
-                                std::to_string(a.cols) + "^2, got " + std::to_string(c.rows) +
-                                "x" + std::to_string(c.cols));
-  }
   // One request is a batch of one: a single machinery gives submit() the
   // same admission, deadline, settle-once, and teardown guarantees.
-  AtaRequest<T> req;
-  req.alpha = alpha;
-  req.a = a;
-  req.c = c;
-  req.priority = opts.priority;
-  req.deadline = opts.deadline;
+  const AtaRequest<T> req{alpha, a, c, opts.priority, opts.deadline};
   auto futures = submit_batch<T>(std::span<const AtaRequest<T>>(&req, 1), std::move(opts));
   return std::move(futures.front());
 }
@@ -257,40 +242,17 @@ std::future<void> Server::submit(T alpha, ConstMatrixView<T> a, MatrixView<T> c)
 
 namespace {
 
-/// One unit of batched work: request `req`, task `local` of its plan.
-struct BatchUnit {
-  int req;
-  int local;
-};
-
-/// One pool task of a fused batch: a run of consecutive units. Multi-task
-/// plans get one unit per pool task (their stripes must spread over the
-/// pool); single-task requests are CHUNKED — consecutive same-plan
-/// requests share one pool task — so the per-task executor overhead
-/// (queue round-trip, context wake-up) is paid once per chunk, not once
-/// per tiny request. That amortization is where batch >> 1 beats a
-/// per-request loop even when no parallel speedup is available.
-struct BatchChunk {
-  int first_unit;
-  int nunits;
-};
-
-/// Shared lifetime of one fused batch: the plans, the request views, and
-/// the per-request completion/error bookkeeping every task touches. Tasks
-/// hold it by shared_ptr so the state outlives both the client (who may
-/// drop futures early) and the pool batch.
+/// Shared lifetime of one fused batch: the execution core's layout (plans,
+/// request views, units, chunks) plus the per-request tickets every task
+/// touches. Tasks hold it by shared_ptr so the state outlives both the
+/// client (who may drop futures early) and the pool batch.
 template <typename T>
 struct BatchState {
-  BatchPlan batch;
-  std::vector<AtaRequest<T>> requests;
+  BatchState(BatchPlan plan, std::span<const AtaRequest<T>> requests, int concurrency)
+      : batch(std::move(plan), requests, concurrency) {}
+
+  FusedBatch<T> batch;
   std::vector<std::shared_ptr<detail::RequestTicket>> tickets;
-  std::vector<BatchUnit> units;
-  std::vector<BatchChunk> chunks;
-  // Atomics are not movable, so the per-request arrays live behind
-  // unique_ptr instead of vector.
-  std::unique_ptr<std::atomic<int>[]> remaining;
-  std::unique_ptr<std::atomic<bool>[]> failed;
-  std::vector<std::exception_ptr> errors;
   /// Chunks not yet finished; the task taking it to zero retires the
   /// batch at the server's gate.
   std::atomic<int> chunks_remaining{0};
@@ -306,6 +268,18 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
                                                     SharedOptions opts) {
   opts.executor = nullptr;  // requests always execute on the server's pool
   validate(opts);
+  // Reject a mismatched C before touching the gate or the cache: the check
+  // needs no plan, so a malformed request gets the same error whatever the
+  // server's load, and never pays a schedule build or evicts a warm plan.
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const AtaRequest<T>& q = requests[r];
+    if (q.c.rows != q.a.cols || q.c.cols != q.a.cols) {
+      throw std::invalid_argument("submit_batch: request " + std::to_string(r) +
+                                  ": C must be n x n = " + std::to_string(q.a.cols) +
+                                  "^2, got " + std::to_string(q.c.rows) + "x" +
+                                  std::to_string(q.c.cols));
+    }
+  }
   if (requests.empty()) return {};
   const std::size_t nreq = requests.size();
 
@@ -313,40 +287,34 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   // any promise, plan lookup, or ticket exists.
   const Clock::time_point t0 = admit(nreq);
 
-  auto state = std::make_shared<BatchState<T>>();
+  std::shared_ptr<BatchState<T>> state;
   try {
     // Throws std::invalid_argument on any bad request, before any promise
     // exists or any task is enqueued: a rejected batch is all-or-nothing.
-    state->batch = build_batch_plan<T>(cache_, requests, opts);
+    state = std::make_shared<BatchState<T>>(build_batch_plan<T>(cache_, requests, opts),
+                                            requests, pool_.concurrency());
   } catch (...) {
     unadmit(nreq);
     throw;
   }
-  state->requests.assign(requests.begin(), requests.end());
+  const FusedBatch<T>& batch = state->batch;
   state->faults = faults_;
   admitted_.fetch_add(nreq, std::memory_order_relaxed);
 
   const Clock::time_point admitted_at = Clock::now();
   const std::uint64_t adm_ns = elapsed_ns(t0, admitted_at);
 
-  const int total = state->batch.total_tasks();
   state->tickets.reserve(nreq);
-  state->units.reserve(static_cast<std::size_t>(total));
-  state->remaining = std::make_unique<std::atomic<int>[]>(nreq);
-  state->failed = std::make_unique<std::atomic<bool>[]>(nreq);
-  state->errors.resize(nreq);
-
   std::vector<std::future<void>> futures;
   futures.reserve(nreq);
   for (std::size_t r = 0; r < nreq; ++r) {
     auto ticket = std::make_shared<Ticket>();
     ticket->deadline = std::min(opts.deadline, requests[r].deadline);
     ticket->admitted_at = admitted_at;
+    ticket->remaining.store(batch.plan.tasks_of(static_cast<int>(r)),
+                            std::memory_order_relaxed);
     futures.push_back(ticket->promise.get_future());
     state->tickets.push_back(std::move(ticket));
-    const int ntasks = state->batch.task_offset[r + 1] - state->batch.task_offset[r];
-    state->remaining[r].store(ntasks, std::memory_order_relaxed);
-    state->failed[r].store(false, std::memory_order_relaxed);
     admission_wait_.record(adm_ns);
   }
   {
@@ -364,69 +332,8 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
           "atalib: request deadline already expired at submit")));
     }
   }
-
-  // Order units so higher-priority requests' tasks sit ahead of lower ones
-  // in the flat index space (stable: FIFO within a priority class). The
-  // batch's pool priority is the max over its requests, so a mixed batch
-  // competes at its most urgent class.
-  std::vector<int> order(nreq);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&requests](int x, int y) {
-    return requests[static_cast<std::size_t>(x)].priority >
-           requests[static_cast<std::size_t>(y)].priority;
-  });
-  int batch_priority = opts.priority;
-  for (std::size_t r = 0; r < nreq; ++r) {
-    batch_priority = std::max(batch_priority, requests[r].priority);
-  }
-  for (int r : order) {
-    const auto rr = static_cast<std::size_t>(r);
-    const int ntasks = state->batch.task_offset[rr + 1] - state->batch.task_offset[rr];
-    for (int local = 0; local < ntasks; ++local) {
-      state->units.push_back({r, local});
-    }
-  }
-
-  // Chunk the unit list into pool tasks. Serial (single-task) requests
-  // coalesce into runs of up to `chunk_target` consecutive same-plan
-  // units; multi-task plans stay one unit per pool task so their stripes
-  // spread over the pool. The target keeps several chunks per worker so
-  // stealing can still balance an uneven batch.
-  const int chunk_target =
-      std::clamp(total / (std::max(1, pool_.concurrency()) * 8), 1, 64);
-  for (int u = 0; u < total;) {
-    const int req = state->units[static_cast<std::size_t>(u)].req;
-    const int plan_idx = state->batch.plan_of_request[static_cast<std::size_t>(req)];
-    const bool serial =
-        state->batch.task_offset[static_cast<std::size_t>(req) + 1] -
-            state->batch.task_offset[static_cast<std::size_t>(req)] ==
-        1;
-    int len = 1;
-    if (serial) {
-      while (u + len < total && len < chunk_target) {
-        const auto& next = state->units[static_cast<std::size_t>(u + len)];
-        const auto nr = static_cast<std::size_t>(next.req);
-        if (state->batch.plan_of_request[nr] != plan_idx ||
-            state->batch.task_offset[nr + 1] - state->batch.task_offset[nr] != 1) {
-          break;
-        }
-        ++len;
-      }
-    }
-    state->chunks.push_back({u, len});
-    u += len;
-  }
-  state->chunks_remaining.store(static_cast<int>(state->chunks.size()),
-                                std::memory_order_relaxed);
-
-  // One warm call for the whole batch: the pool's high-water mark covers
-  // the largest plan, so every task's arena request is satisfied from the
-  // already-grown slot slabs (the zero-slab warm-path invariant).
-  if constexpr (std::is_same_v<T, float>) {
-    pool_.warm_workspaces(state->batch.workspace_bound, 0);
-  } else {
-    pool_.warm_workspaces(0, state->batch.workspace_bound);
-  }
+  state->chunks_remaining.store(batch.nchunks(), std::memory_order_relaxed);
+  batch.warm(pool_);
 
   // Per-request completion: the unit that takes `remaining` to zero wins
   // the ticket's settle CAS (unless a shed / deadline / shutdown settled
@@ -436,106 +343,82 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   // — so a failure surfaces on its own request's future and never on the
   // (discarded) pool-level batch future or on a sibling request.
   Server* const server = this;
-  auto body = [state, server](int t, runtime::TaskContext& ctx) {
-    const BatchChunk chunk = state->chunks[static_cast<std::size_t>(t)];
-    for (int u = chunk.first_unit; u < chunk.first_unit + chunk.nunits; ++u) {
-      const BatchUnit unit = state->units[static_cast<std::size_t>(u)];
-      const int req = unit.req;
-      Ticket& ticket = *state->tickets[static_cast<std::size_t>(req)];
-      const AtaRequest<T>& r = state->requests[static_cast<std::size_t>(req)];
-      const AtaPlan& plan =
-          *state->batch.plans[static_cast<std::size_t>(
-              state->batch.plan_of_request[static_cast<std::size_t>(req)])];
-      if (ticket.cancelled.load(std::memory_order_acquire)) {
+  auto run_unit = [state, server](BatchUnit unit, runtime::TaskContext& ctx) {
+    Ticket& ticket = *state->tickets[static_cast<std::size_t>(unit.req)];
+    if (ticket.cancelled.load(std::memory_order_acquire)) {
+      ticket.skipped.store(true, std::memory_order_relaxed);
+    } else {
+      const SteadyClock::time_point now = SteadyClock::now();
+      if (now >= ticket.deadline) {
+        // Expired before this unit computed: skip the leaf GEMMs (any
+        // remaining units skip too) and settle with DeadlineExceeded —
+        // here if no unit started, else when the request retires.
         ticket.skipped.store(true, std::memory_order_relaxed);
+        if (ticket.cancel(detail::CancelReason::kDeadline) &&
+            server->claim_and_release(ticket)) {
+          server->deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+          ticket.promise.set_exception(std::make_exception_ptr(
+              DeadlineExceeded("atalib: request deadline expired before execution")));
+        }
       } else {
-        const SteadyClock::time_point now = SteadyClock::now();
-        if (now >= ticket.deadline) {
-          // Expired before this unit computed: skip the leaf GEMMs (any
-          // remaining units skip too) and settle with DeadlineExceeded —
-          // here if no unit started, else when the request retires.
+        std::int64_t expected = -1;
+        if (ticket.started_ns.compare_exchange_strong(expected, ns_of(now))) {
+          server->queue_wait_.record(elapsed_ns(ticket.admitted_at, now));
+        }
+        // Re-checked after publishing the start (seq_cst, see
+        // RequestTicket::cancel): a cancel that missed the start was
+        // allowed to settle, so this unit must not touch the buffers.
+        if (ticket.cancelled.load()) {
           ticket.skipped.store(true, std::memory_order_relaxed);
-          if (ticket.cancel(detail::CancelReason::kDeadline) &&
-              server->claim_and_release(ticket)) {
-            server->deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-            ticket.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-                "atalib: request deadline expired before execution")));
-          }
         } else {
-          std::int64_t expected = -1;
-          if (ticket.started_ns.compare_exchange_strong(expected, ns_of(now))) {
-            server->queue_wait_.record(elapsed_ns(ticket.admitted_at, now));
-          }
-          // Re-checked after publishing the start (seq_cst, see
-          // RequestTicket::cancel): a cancel that missed the start was
-          // allowed to settle, so this unit must not touch the buffers.
-          if (ticket.cancelled.load()) {
-            ticket.skipped.store(true, std::memory_order_relaxed);
-          } else {
-            try {
-              if constexpr (fault::kEnabled) {
-                if (state->faults) {
-                  state->faults->maybe_slow_task();
-                  state->faults->maybe_throw_leaf();
-                }
+          try {
+            if constexpr (fault::kEnabled) {
+              if (state->faults) {
+                state->faults->maybe_slow_task();
+                state->faults->maybe_throw_leaf();
               }
-              run_plan_task(plan, unit.local, r.alpha, r.a, r.c, ctx);
-            } catch (...) {
-              bool claimed = false;
-              if (state->failed[req].compare_exchange_strong(claimed, true,
-                                                             std::memory_order_relaxed)) {
-                state->errors[static_cast<std::size_t>(req)] = std::current_exception();
-              }
+            }
+            state->batch.run_unit(unit, ctx);
+          } catch (...) {
+            bool claimed = false;
+            if (ticket.failed.compare_exchange_strong(claimed, true,
+                                                      std::memory_order_relaxed)) {
+              ticket.error = std::current_exception();
             }
           }
         }
       }
-      if (state->remaining[req].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (server->claim_and_release(ticket)) {
-          if (ticket.skipped.load(std::memory_order_relaxed)) {
-            // A cancel deferred to here: every unit is done with the buffers.
-            server->settle_cancelled(ticket);
-            continue;
-          }
-          server->completed_.fetch_add(1, std::memory_order_relaxed);
-          const std::int64_t started = ticket.started_ns.load(std::memory_order_acquire);
-          if (started >= 0) {
-            const std::int64_t done = ns_of(SteadyClock::now());
-            server->compute_.record(
-                done > started ? static_cast<std::uint64_t>(done - started) : 0);
-          }
-          if (state->failed[req].load(std::memory_order_relaxed)) {
-            ticket.promise.set_exception(state->errors[static_cast<std::size_t>(req)]);
-          } else {
-            ticket.promise.set_value();
-          }
-        }
-      }
     }
+    if (ticket.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    if (!server->claim_and_release(ticket)) return;
+    if (ticket.skipped.load(std::memory_order_relaxed)) {
+      // A cancel deferred to here: every unit is done with the buffers.
+      server->settle_cancelled(ticket);
+      return;
+    }
+    server->completed_.fetch_add(1, std::memory_order_relaxed);
+    const std::int64_t started = ticket.started_ns.load(std::memory_order_acquire);
+    if (started >= 0) {
+      const std::int64_t done = ns_of(SteadyClock::now());
+      server->compute_.record(done > started ? static_cast<std::uint64_t>(done - started) : 0);
+    }
+    if (ticket.failed.load(std::memory_order_relaxed)) {
+      ticket.promise.set_exception(ticket.error);
+    } else {
+      ticket.promise.set_value();
+    }
+  };
+  auto body = [state, server, run_unit](int t, runtime::TaskContext& ctx) {
+    for (const BatchUnit& unit : state->batch.units_of(t)) run_unit(unit, ctx);
     if (state->chunks_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       server->on_batch_retired();
     }
   };
 
-  const int nchunks = static_cast<int>(state->chunks.size());
-  const int nnodes = pool_.numa_nodes();
   runtime::ThreadPool::SubmitOptions pool_opts;
-  pool_opts.priority = batch_priority;
-  if (nnodes > 1) {
-    // Round-robin *chunks* over nodes (small single-task requests are
-    // the common case), while a request split into stripes keeps its
-    // plan's stripe->node mapping, rotated by the request index.
-    pool_opts.preferred_node = [state, nnodes](int t) {
-      const BatchChunk chunk = state->chunks[static_cast<std::size_t>(t)];
-      const BatchUnit unit = state->units[static_cast<std::size_t>(chunk.first_unit)];
-      const AtaPlan& plan =
-          *state->batch.plans[static_cast<std::size_t>(
-              state->batch.plan_of_request[static_cast<std::size_t>(unit.req)])];
-      const int pref = plan.preferred_node(unit.local, nnodes);
-      return pref < 0 ? unit.req % nnodes : (unit.req + pref) % nnodes;
-    };
-  }
-  pool_.submit(nchunks, std::move(body), pool_opts);
+  pool_opts.priority = std::max(opts.priority, batch.priority);
+  pool_opts.preferred_node = batch.node_hint(pool_.numa_nodes());
+  pool_.submit(batch.nchunks(), std::move(body), pool_opts);
   return futures;
 }
 

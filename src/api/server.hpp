@@ -3,9 +3,9 @@
 // overload (DESIGN.md §10).
 //
 // A Server owns a sharded plan cache and a multi-batch ThreadPool. submit()
-// admits one lower(C) += alpha * A^T A request: pass the admission gate,
-// build-or-fetch the plan, warm the pool to the plan's workspace bound, and
-// enqueue the plan's tasks as one pool batch — then return a future. On the
+// admits one lower(C) += alpha * A^T A request as a batch of one: pass the
+// admission gate, build-or-fetch the plan, and queue it on the fused-batch
+// core api::execute also runs (api/batch.hpp) — then return a future. On the
 // *warm* path (shape seen before, workspace bound at or below the pool's
 // warmed mark) submit never blocks on compute: the plan is a cache hit, the
 // warm check is two atomic loads, and the batch is queued without waiting.
@@ -39,6 +39,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <span>
@@ -95,6 +96,12 @@ struct RequestTicket {
   /// steady_clock nanos when the request's first task began computing;
   /// -1 until then. Claimed by CAS so queue-wait is recorded once.
   std::atomic<std::int64_t> started_ns{-1};
+  /// Tasks not yet finished; the task taking it to zero settles the request.
+  std::atomic<int> remaining{0};
+  /// The first failing task claims `failed` by CAS and writes `error`; the
+  /// acq_rel `remaining` countdown publishes it to the settling task.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
 
   /// Mark the request cancelled for `why`. Returns true when the caller
   /// may settle it now: no task has started, and any task that starts
@@ -123,9 +130,6 @@ class Server {
     int threads = 0;
     /// LRU capacity of the plan cache (plans, not bytes).
     std::size_t plan_capacity = PlanCache::kDefaultCapacity;
-    /// Independent LRU+mutex shards of the plan cache (clamped to
-    /// [1, plan_capacity]); see PlanCache.
-    std::size_t plan_shards = PlanCache::kDefaultShards;
     /// Admission bound on requests admitted but not yet settled.
     std::size_t max_inflight_requests = kUnlimited;
     /// Admission bound on batches admitted but not yet retired (a submit()

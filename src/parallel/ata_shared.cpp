@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "api/execute.hpp"
 #include "api/plan_cache.hpp"
@@ -32,9 +33,9 @@ void validate(const SharedOptions& opts) {
 template <typename T>
 void ata_shared(T alpha, ConstMatrixView<T> a, MatrixView<T> c, const SharedOptions& opts) {
   validate(opts);
-  const auto plan = api::PlanCache::global().get_or_build(
+  auto plan = api::PlanCache::global().get_or_build(
       api::shared_plan_key(api::dtype_of<T>(), a.rows, a.cols, opts));
-  api::execute(*plan, alpha, a, c, opts.executor);
+  api::execute(std::move(plan), alpha, a, c, opts.executor);
 }
 
 template <typename T>

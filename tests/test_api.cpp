@@ -143,20 +143,45 @@ TEST(ApiExecute, WarmSharedPathPerformsNoBuildsAndNoSlabAllocations) {
 
   const auto plan = cache.get_or_build(key_for(m, n, 4, 2));
   auto c = Matrix<double>::zeros(n, n);
-  api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);  // cold: may allocate
+  api::execute(plan, 1.0, a.const_view(), c.view(), &pool);  // cold: may allocate
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
 
   const std::uint64_t builds_warm = total_schedule_builds();
   const std::size_t grows_warm = pool_slab_grows(pool);
   for (int rep = 0; rep < 5; ++rep) {
     fill_view(c.view(), 0.0);
-    api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);
+    api::execute(plan, 1.0, a.const_view(), c.view(), &pool);
     EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
   }
   EXPECT_EQ(total_schedule_builds(), builds_warm)
       << "second-and-later execute() must not rebuild any schedule";
   EXPECT_EQ(pool_slab_grows(pool), grows_warm)
       << "second-and-later execute() must not allocate workspace slabs";
+}
+
+TEST(ApiExecute, WarmsSlotsOnlyWhenTheCallFansOut) {
+  // A width-1 call runs inline on one workspace and must not pin a
+  // full-size slab on every slot; a width-4 call warms all of them.
+  const index_t m = 256, n = 192;
+  const auto a = random_integer<double>(m, n, 3, 29);
+  api::PlanCache cache(4);
+  {
+    runtime::ThreadPool pool(4);
+    auto c = Matrix<double>::zeros(n, n);
+    api::execute(cache.get_or_build(key_for(m, n, 1, 1)), 1.0, a.const_view(), c.view(),
+                 &pool);
+    EXPECT_EQ(pool_slab_grows(pool), 0u);
+  }
+  {
+    runtime::ThreadPool pool(4);
+    const auto plan = cache.get_or_build(key_for(m, n, 4, 1));
+    ASSERT_GT(plan->workspace_bound(), 0u);
+    auto c = Matrix<double>::zeros(n, n);
+    api::execute(plan, 1.0, a.const_view(), c.view(), &pool);
+    for (int s = 0; s < pool.concurrency(); ++s) {
+      EXPECT_GT(pool.workspace(s).grow_count(), 0u) << "slot " << s;
+    }
+  }
 }
 
 TEST(ApiExecute, WarmDistPathPerformsNoTreeBuilds) {
@@ -190,11 +215,11 @@ TEST(ApiExecute, MismatchedPlanUseThrows) {
   auto c_wrong = Matrix<double>::zeros(40, 40);
   const auto a_ok = random_integer<double>(40, 32, 2, 5);
 
-  EXPECT_THROW(api::execute(*plan, 1.0, a_wrong.const_view(), c.view()),
+  EXPECT_THROW(api::execute(plan, 1.0, a_wrong.const_view(), c.view()),
                std::invalid_argument);
-  EXPECT_THROW(api::execute(*plan, 1.0f, a_float.const_view(), c_float.view()),
+  EXPECT_THROW(api::execute(plan, 1.0f, a_float.const_view(), c_float.view()),
                std::invalid_argument);
-  EXPECT_THROW(api::execute(*plan, 1.0, a_ok.const_view(), c_wrong.view()),
+  EXPECT_THROW(api::execute(plan, 1.0, a_ok.const_view(), c_wrong.view()),
                std::invalid_argument);
   EXPECT_THROW(api::execute_dist(*plan, 1.0, a_ok), std::invalid_argument)
       << "a shared plan must be rejected by the dist entry point";

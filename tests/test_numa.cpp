@@ -324,6 +324,30 @@ TEST(NumaAta, PlacedExecutionBitwiseMatchesFlatPool) {
   EXPECT_EQ(max_abs_diff_lower<double>(c_flat.const_view(), c_numa.const_view()), 0.0);
 }
 
+TEST(NumaAta, SharedPathPlacesStripesRoundRobinPerNode) {
+  // The synchronous path schedules the same per-node counts as the serving
+  // path (NumaServer.RuntimeStatsReportPerNodePlacement): P = 4, oversub 1
+  // is 4 tasks, 2 per node.
+  FakeNumaGuard guard("2x2");
+  runtime::ThreadPool pool(4);
+  ASSERT_EQ(pool.numa_nodes(), 2);
+  const index_t m = 64, n = 48;
+  const auto a = random_integer<double>(m, n, 2, 99);
+  auto c = Matrix<double>::zeros(n, n);
+  SharedOptions so;
+  so.threads = 4;
+  so.oversub = 1;
+  so.recurse = tiny_base();
+  so.executor = &pool;
+  ata_shared(1.0, a.const_view(), c.view(), so);
+  EXPECT_EQ(pool.scheduled_on_node(0), 2u);
+  EXPECT_EQ(pool.scheduled_on_node(1), 2u);
+
+  auto c_serial = Matrix<double>::zeros(n, n);
+  ata(1.0, a.const_view(), c_serial.view(), tiny_base());
+  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_serial.const_view()), 0.0);
+}
+
 // ---- Serving front-end over a fake topology ----------------------------
 
 TEST(NumaServer, RuntimeStatsReportPerNodePlacement) {

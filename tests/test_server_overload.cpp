@@ -334,6 +334,27 @@ TEST(ServerOverload, ZeroCapacityGateRefusesEveryPolicy) {
   }
 }
 
+TEST(ServerOverload, MalformedBatchRequestIsRejectedBeforeAdmission) {
+  // The plan-free C-shape check runs before the gate, so a malformed
+  // request gets std::invalid_argument from submit_batch exactly as from
+  // submit, even when the gate would refuse everything.
+  api::Server::Options opts;
+  opts.threads = 2;
+  opts.max_queued_batches = 0;
+  api::Server server(opts);
+  const auto a = random_integer<double>(32, 24, 2, 13);
+  auto c_ok = Matrix<double>::zeros(24, 24);
+  auto c_bad = Matrix<double>::zeros(32, 32);
+  const std::vector<api::AtaRequest<double>> reqs = {{1.0, a.const_view(), c_ok.view()},
+                                                     {1.0, a.const_view(), c_bad.view()}};
+  EXPECT_THROW(server.submit_batch<double>(reqs, shared_opts(1, 1)), std::invalid_argument);
+  EXPECT_THROW(server.submit(1.0, a.const_view(), c_bad.view(), shared_opts(1, 1)),
+               std::invalid_argument);
+  const auto s = server.stats();
+  EXPECT_EQ(s.rejected, 0u) << "a malformed request never reaches the admission gate";
+  EXPECT_EQ(server.plan_stats().misses, 0u) << "nor the plan cache";
+}
+
 TEST(ServerOverload, BatchLargerThanInflightBoundRejectsInsteadOfDeadlocking) {
   // A 3-request batch can never fit a 2-request bound; kBlock waiting for
   // capacity that cannot materialize would hang forever.

@@ -226,14 +226,14 @@ TEST(Strassen, WarmStrassenLeavesAllocateNothing) {
 
   const auto plan = cache.get_or_build(api::shared_plan_key(api::dtype_of<double>(), m, n, so));
   auto c = Matrix<double>::zeros(n, n);
-  api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);  // cold: slabs may grow
+  api::execute(plan, 1.0, a.const_view(), c.view(), &pool);  // cold: slabs may grow
 
   std::size_t grows_warm = 0;
   for (int s = 0; s < pool.concurrency(); ++s) grows_warm += pool.workspace(s).grow_count();
   const std::uint64_t packs_warm = kn::thread_pack_allocs().load();
   for (int rep = 0; rep < 5; ++rep) {
     fill_view(c.view(), 0.0);
-    api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);
+    api::execute(plan, 1.0, a.const_view(), c.view(), &pool);
     EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
   }
   std::size_t grows_after = 0;
@@ -406,8 +406,8 @@ TEST(StrassenTuner, NeverRecursePlanIsTheBlasPlan) {
   const auto a = random_gaussian<double>(m, n, 91);
   auto c_strassen = Matrix<double>::zeros(n, n);
   auto c_blas = Matrix<double>::zeros(n, n);
-  api::execute(*strassen_plan, 1.0, a.const_view(), c_strassen.view(), &pool);
-  api::execute(*blas_plan, 1.0, a.const_view(), c_blas.view(), &pool);
+  api::execute(strassen_plan, 1.0, a.const_view(), c_strassen.view(), &pool);
+  api::execute(blas_plan, 1.0, a.const_view(), c_blas.view(), &pool);
   EXPECT_EQ(max_abs_diff_lower<double>(c_strassen.const_view(), c_blas.const_view()), 0.0);
 }
 

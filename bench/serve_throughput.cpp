@@ -392,6 +392,7 @@ int main(int argc, char** argv) {
       rec.str("phase", "tall_skinny")
           .str("plan", label)
           .str("engine", engine)
+          .num("base_case_elements", static_cast<std::uint64_t>(key.base_case_elements))
           .num("m", static_cast<std::uint64_t>(ts.m))
           .num("n", static_cast<std::uint64_t>(ts.n))
           .num("reps", reps)

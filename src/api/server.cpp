@@ -30,10 +30,16 @@ std::uint64_t elapsed_ns(SteadyClock::time_point from, SteadyClock::time_point t
                        .count());
 }
 
+/// Win a request's settle CAS; false if another path settled it first.
+bool claim(detail::RequestTicket& t) {
+  bool expected = false;
+  return t.settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel);
+}
+
 }  // namespace
 
 Server::Server(const Options& opts)
-    : cache_(opts.plan_capacity, PlanCache::kDefaultShards),
+    : cache_(opts.plan_capacity),
       max_inflight_(opts.max_inflight_requests),
       max_batches_(opts.max_queued_batches),
       policy_(opts.admission),
@@ -47,17 +53,7 @@ Server::~Server() {
   // `cancelled` and skip; clients get ServerShutdown instead of a hang. A
   // request some task already started on is settled by its retiring task
   // (RequestTicket::cancel), which the wait below also covers.
-  for (auto& t : ledger_) {
-    if (t->settled.load(std::memory_order_acquire)) continue;
-    if (!t->cancel(detail::CancelReason::kShutdown)) continue;
-    bool expected = false;
-    if (!t->settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      continue;
-    }
-    t->promise.set_exception(std::make_exception_ptr(
-        ServerShutdown("atalib: Server destroyed with the request in flight")));
-    --inflight_requests_;
-  }
+  for (auto& t : ledger_) settle_early_locked(*t, detail::CancelReason::kShutdown);
   ledger_.clear();
   gate_cv_.notify_all();
   // Wait for every admitted batch to retire and every blocked admitter to
@@ -136,62 +132,61 @@ void Server::unadmit(std::size_t nreq) {
 std::size_t Server::shed_expired(Clock::time_point now) {
   std::size_t freed = 0;
   for (auto& t : ledger_) {
-    if (t->settled.load(std::memory_order_relaxed)) continue;
-    if (now < t->deadline) continue;
     // Started work still stops at its next task, but only its retiring
     // task may hand the buffers back, so it frees no capacity now.
-    if (!t->cancel(detail::CancelReason::kShed)) continue;
-    bool expected = false;
-    if (!t->settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      continue;
-    }
-    t->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "atalib: request shed under kShedOldest after its deadline expired")));
-    --inflight_requests_;
-    ++freed;
+    if (now >= t->deadline && settle_early_locked(*t, detail::CancelReason::kShed)) ++freed;
   }
-  while (!ledger_.empty() && ledger_.front()->settled.load(std::memory_order_relaxed)) {
-    ledger_.pop_front();
-  }
-  if (freed > 0) {
-    shed_.fetch_add(freed, std::memory_order_relaxed);
-    deadline_expired_.fetch_add(freed, std::memory_order_relaxed);
-  }
+  trim_ledger();
   return freed;
 }
 
-bool Server::claim_and_release(Ticket& t) {
-  bool expected = false;
-  if (!t.settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-    return false;
-  }
-  MutexLock lk(gate_mu_);
-  --inflight_requests_;
+void Server::trim_ledger() {
   while (!ledger_.empty() && ledger_.front()->settled.load(std::memory_order_relaxed)) {
     ledger_.pop_front();
   }
+}
+
+bool Server::claim_and_release(Ticket& t) {
+  if (!claim(t)) return false;
+  MutexLock lk(gate_mu_);
+  --inflight_requests_;
+  trim_ledger();
   gate_cv_.notify_all();
   return true;
 }
 
-void Server::settle_cancelled(Ticket& t) {
-  switch (t.reason.load(std::memory_order_relaxed)) {
+void Server::settle_early(Ticket& t, detail::CancelReason why) {
+  MutexLock lk(gate_mu_);
+  if (settle_early_locked(t, why)) trim_ledger();
+}
+
+bool Server::settle_early_locked(Ticket& t, detail::CancelReason why) {
+  if (!t.cancel(why) || !claim(t)) return false;
+  settle_cancelled(t, why);
+  --inflight_requests_;
+  gate_cv_.notify_all();
+  return true;
+}
+
+void Server::settle_cancelled(Ticket& t, detail::CancelReason why) {
+  std::exception_ptr error;
+  switch (why) {
     case detail::CancelReason::kShutdown:
-      t.promise.set_exception(std::make_exception_ptr(
-          ServerShutdown("atalib: Server destroyed with the request in flight")));
-      return;
+      error = std::make_exception_ptr(
+          ServerShutdown("atalib: Server destroyed with the request in flight"));
+      break;
     case detail::CancelReason::kShed:
       shed_.fetch_add(1, std::memory_order_relaxed);
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      t.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-          "atalib: request shed under kShedOldest after its deadline expired")));
-      return;
+      error = std::make_exception_ptr(DeadlineExceeded(
+          "atalib: request shed under kShedOldest after its deadline expired"));
+      break;
     default:
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      t.promise.set_exception(std::make_exception_ptr(
-          DeadlineExceeded("atalib: request deadline expired before execution")));
-      return;
+      error = std::make_exception_ptr(
+          DeadlineExceeded("atalib: request deadline expired before execution"));
   }
+  t.promise.set_exception(error);
 }
 
 void Server::on_batch_retired() {
@@ -318,19 +313,15 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
     admission_wait_.record(adm_ns);
   }
   {
+    // A deadline already expired at submit settles right here: its tasks
+    // are still enqueued (keeping the batch layout uniform) but become
+    // no-ops.
     MutexLock lk(gate_mu_);
-    for (const auto& t : state->tickets) ledger_.push_back(t);
-  }
-  // A deadline already expired at submit settles right here: its tasks are
-  // still enqueued (keeping the batch layout uniform) but become no-ops.
-  for (std::size_t r = 0; r < nreq; ++r) {
-    Ticket& ticket = *state->tickets[r];
-    if (admitted_at < ticket.deadline) continue;
-    if (ticket.cancel(detail::CancelReason::kDeadline) && claim_and_release(ticket)) {
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      ticket.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-          "atalib: request deadline already expired at submit")));
+    for (const auto& t : state->tickets) {
+      ledger_.push_back(t);
+      if (admitted_at >= t->deadline) settle_early_locked(*t, detail::CancelReason::kDeadline);
     }
+    trim_ledger();
   }
   state->chunks_remaining.store(batch.nchunks(), std::memory_order_relaxed);
   batch.warm(pool_);
@@ -354,12 +345,7 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
         // remaining units skip too) and settle with DeadlineExceeded —
         // here if no unit started, else when the request retires.
         ticket.skipped.store(true, std::memory_order_relaxed);
-        if (ticket.cancel(detail::CancelReason::kDeadline) &&
-            server->claim_and_release(ticket)) {
-          server->deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-          ticket.promise.set_exception(std::make_exception_ptr(
-              DeadlineExceeded("atalib: request deadline expired before execution")));
-        }
+        server->settle_early(ticket, detail::CancelReason::kDeadline);
       } else {
         std::int64_t expected = -1;
         if (ticket.started_ns.compare_exchange_strong(expected, ns_of(now))) {
@@ -393,7 +379,7 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
     if (!server->claim_and_release(ticket)) return;
     if (ticket.skipped.load(std::memory_order_relaxed)) {
       // A cancel deferred to here: every unit is done with the buffers.
-      server->settle_cancelled(ticket);
+      server->settle_cancelled(ticket, ticket.reason.load(std::memory_order_relaxed));
       return;
     }
     server->completed_.fetch_add(1, std::memory_order_relaxed);

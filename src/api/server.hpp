@@ -2,7 +2,7 @@
 // Concurrent serving front-end: the cached-plan request path, hardened for
 // overload (DESIGN.md §10).
 //
-// A Server owns a sharded plan cache and a multi-batch ThreadPool. submit()
+// A Server owns a plan cache and a multi-batch ThreadPool. submit()
 // admits one lower(C) += alpha * A^T A request as a batch of one: pass the
 // admission gate, build-or-fetch the plan, and queue it on the fused-batch
 // core api::execute also runs (api/batch.hpp) — then return a future. On the
@@ -27,7 +27,8 @@
 // Every admitted request's future is settled exactly once — with a value,
 // the task's own error, DeadlineExceeded, or ServerShutdown — including
 // across Server destruction under load, and never while one of its tasks
-// still reads A or writes C.
+// still reads A or writes C. The three early outcomes share one settle path
+// (settle_early_locked) and one reason -> error mapping (settle_cancelled).
 //
 // The warm serving path still performs zero schedule builds and zero
 // workspace slab allocations per request — the compile-once/execute-many
@@ -227,17 +228,29 @@ class Server {
   Clock::time_point admit(std::size_t nreq);
   /// Roll back an admit() whose batch failed validation/planning.
   void unadmit(std::size_t nreq);
-  /// Cancel every ledger ticket whose deadline has passed and settle with
-  /// DeadlineExceeded those no task has started on; returns how many were
-  /// settled (the others settle when their tasks retire).
+  /// Shed every expired ledger ticket no task has started on (via
+  /// settle_early_locked); returns how many were settled (the others
+  /// settle when their tasks retire).
   std::size_t shed_expired(Clock::time_point now) ATALIB_REQUIRES(gate_mu_);
-  /// Win the settle CAS or return false. The winner's slot release +
-  /// ledger trim happens here too (under gate_mu_).
+  /// Pop settled tickets off the front of the ledger.
+  void trim_ledger() ATALIB_REQUIRES(gate_mu_);
+  /// The retiring task's settle: win the settle CAS or return false; the
+  /// winner's slot release + ledger trim happens here too.
   bool claim_and_release(Ticket& t);
-  /// Settle a request whose cancel was deferred to its retiring task
-  /// (RequestTicket::cancel) with the cancel reason's error; the caller
-  /// won the settle CAS.
-  void settle_cancelled(Ticket& t);
+  /// The one early-settle path (deadline at submit or in a task, shed,
+  /// shutdown): cancel `t` for `why`; if no task has started, win the
+  /// settle CAS, fail the future with settle_cancelled(why) and release
+  /// the admission slot. Returns whether this call settled `t`. Does not
+  /// trim the ledger, so callers may iterate it.
+  bool settle_early_locked(Ticket& t, detail::CancelReason why) ATALIB_REQUIRES(gate_mu_);
+  /// settle_early_locked under the gate lock, plus the ledger trim.
+  void settle_early(Ticket& t, detail::CancelReason why);
+  /// The reason -> outcome mapping: fail `t`'s future with the error `why`
+  /// stands for and bump the counters it accounts to (kShed: shed and
+  /// deadline_expired; kDeadline: deadline_expired; kShutdown: none). The
+  /// caller won the settle CAS; early settles and the retiring task's
+  /// deferred settle (RequestTicket::cancel) both end here.
+  void settle_cancelled(Ticket& t, detail::CancelReason why);
   /// Called by the last task of a batch: the final server-state touch of
   /// any admitted batch — ~Server waits for queued_batches_ == 0, so the
   /// server outlives every task-side access.

@@ -59,10 +59,9 @@ std::size_t pool_slab_grows(runtime::ThreadPool& pool) {
 // ---- PlanCache --------------------------------------------------------
 
 TEST(PlanCache, HitMissEvictionOrderAndStats) {
-  // One shard: this test pins the strict *global* LRU order, which only a
-  // single-shard cache guarantees (the default sharded cache is LRU per
-  // shard; see PlanCache.ShardedBuildOnceUnderConcurrentMisses).
-  api::PlanCache cache(2, 1);
+  // Capacity 2 pins the strict global LRU order: every miss past the
+  // budget evicts the least recently used resident plan.
+  api::PlanCache cache(2);
   const auto ka = key_for(48, 40, 2, 1);
   const auto kb = key_for(56, 44, 2, 1);
   const auto kc = key_for(64, 48, 2, 1);
@@ -94,16 +93,19 @@ TEST(PlanCache, HitMissEvictionOrderAndStats) {
 }
 
 TEST(PlanCache, PlansAreImmutableSharedHandles) {
-  api::PlanCache cache(4);
+  api::PlanCache cache(1);
   const auto key = key_for(60, 52, 3, 2);
   const auto plan = cache.get_or_build(key);
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->key(), key);
   EXPECT_EQ(static_cast<int>(plan->schedule().tasks.size()), 3 * 2);
   EXPECT_GT(plan->workspace_bound(), 0u);  // Strassen engine needs scratch
-  // An evicted plan stays alive through the shared_ptr.
-  cache.clear();
+  // An evicted plan stays alive through the shared_ptr: a second key
+  // evicts it from the capacity-1 cache while this handle still holds it.
+  cache.get_or_build(key_for(68, 60, 3, 2));
   EXPECT_FALSE(cache.contains(key));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(plan->key(), key);
   EXPECT_EQ(static_cast<int>(plan->schedule().tasks.size()), 3 * 2);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the overload-hardened serving path (DESIGN.md §10): bounded
 // admission (block/reject/shed-oldest), deadlines and priorities, the
-// Server destructor contract under load, the sharded plan cache's
-// build-once guarantee, the ATALIB_FAULTS parser, and the lock-free
+// Server destructor contract under load, the plan cache's build-once
+// guarantee across concurrently missed keys, the ATALIB_FAULTS parser, and the lock-free
 // latency histograms behind Server::stats().
 //
 // The fault-injection hooks compile to no-ops unless the build sets
@@ -154,23 +154,18 @@ TEST(PoolPriority, HigherClassDrainsFirstFifoWithinClass) {
   }
 }
 
-// ---- Sharded PlanCache ------------------------------------------------
+// ---- PlanCache under concurrent misses --------------------------------
 
-TEST(PlanCache, ShardedBuildOnceUnderConcurrentMisses) {
+TEST(PlanCache, BuildOnceUnderConcurrentMissesAcrossKeys) {
   // 8 client threads hammer the same cold key set concurrently. Build-once
-  // must hold per key even when several keys collide in one shard and all
-  // 8 threads miss on it at the same instant: total misses == distinct
-  // keys, everything else is a hit, and every thread sees the same plan.
-  api::PlanCache cache(32, 8);
+  // must hold per key even when all 8 threads miss on it at the same
+  // instant while other keys build: total misses == distinct keys,
+  // everything else is a hit, and every thread sees the same plan.
+  api::PlanCache cache(32);
   std::vector<api::PlanKey> keys;
   for (index_t m = 40; keys.size() < 12; m += 8) {
     keys.push_back(key_for(m, m - 8, 2, 1));
   }
-  // The workload only stresses per-shard concurrency if shards collide;
-  // with 12 keys over 8 shards the pigeonhole principle guarantees it.
-  std::vector<int> shard_hits(8, 0);
-  for (const auto& k : keys) ++shard_hits[cache.shard_of(k)];
-  EXPECT_GT(*std::max_element(shard_hits.begin(), shard_hits.end()), 1);
 
   constexpr int kThreads = 8;
   constexpr int kReps = 4;
@@ -194,9 +189,8 @@ TEST(PlanCache, ShardedBuildOnceUnderConcurrentMisses) {
   for (auto& t : threads) t.join();
 
   const auto s = cache.stats();
-  EXPECT_EQ(s.shards, 8u);
   EXPECT_EQ(s.misses, keys.size()) << "every key must build exactly once";
-  EXPECT_EQ(s.evictions, 0u) << "working set fits the global budget, no shard may evict";
+  EXPECT_EQ(s.evictions, 0u) << "working set fits the capacity, nothing may evict";
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(kThreads) * kReps * keys.size());
   EXPECT_EQ(s.size, keys.size());
@@ -473,6 +467,65 @@ TEST(ServerOverload, DeadlineSettlesOnlyAfterStartedTasksFinish) {
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), at_settle.const_view()), 0.0)
       << "a task wrote C after its request's future settled";
   EXPECT_EQ(server.stats().deadline_expired, 1u);
+}
+
+TEST(ServerOverload, ShedSettlesOnlyAfterStartedTasksFinish) {
+  // kShedOldest with one in-flight slot. R1 is a two-task request on a
+  // pool whose second worker is blocked: one task computes, the other
+  // waits in the queue until the computing worker is free. R1's deadline
+  // passes mid-compute and R2's admission sheds it — but a task of R1
+  // already started, so the shed only marks it: no capacity is freed (R2
+  // gets OverloadError), the queued task skips, and R1 settles
+  // DeadlineExceeded only when that task retires, after the computing
+  // task is done with C.
+  api::Server::Options sopts;
+  sopts.threads = 3;  // 2 workers: one computes, one is blocked
+  sopts.max_inflight_requests = 1;
+  sopts.admission = api::AdmissionPolicy::kShedOldest;
+  api::Server server(sopts);
+  const index_t n = 1536;
+  const auto a = random_integer<double>(n, n, 2, 25);
+  auto opts = shared_opts(2, 1);
+  opts.recurse.base_case_elements = kNeverRecurse;  // each task: one long leaf
+  {
+    auto c0 = Matrix<double>::zeros(n, n);
+    server.submit(1.0, a.const_view(), c0.view(), opts).get();
+  }
+  const auto before = server.stats();
+
+  WorkerBlocker blocker;
+  blocker.install(server.executor());
+  auto c1 = Matrix<double>::zeros(n, n);
+  auto dopts = opts;
+  dopts.deadline = Clock::now() + std::chrono::milliseconds(5);
+  auto r1 = server.submit(1.0, a.const_view(), c1.view(), dopts);
+  // R1's first task records its queue wait as it starts computing; the
+  // leaf takes tens of milliseconds, so the deadline passes mid-compute.
+  while (server.stats().queue_wait.count == before.queue_wait.count &&
+         Clock::now() < dopts.deadline) {
+    std::this_thread::yield();
+  }
+  if (server.stats().queue_wait.count == before.queue_wait.count) {
+    blocker.release();
+    GTEST_SKIP() << "R1's first task did not start before its 5 ms deadline";
+  }
+  std::this_thread::sleep_until(dopts.deadline + std::chrono::milliseconds(1));
+
+  auto c2 = Matrix<double>::zeros(n, n);
+  EXPECT_THROW(server.submit(1.0, a.const_view(), c2.view(), opts), api::OverloadError)
+      << "shedding started work must not free its slot";
+
+  EXPECT_THROW(r1.get(), api::DeadlineExceeded);
+  const Matrix<double> at_settle = c1.clone();
+  blocker.release();
+  blocker.done.get();
+  wait_drained(server);
+  EXPECT_EQ(max_abs_diff_lower<double>(c1.const_view(), at_settle.const_view()), 0.0)
+      << "a task wrote C after its request's future settled";
+  const auto s = server.stats();
+  EXPECT_EQ(s.shed, 1u);
+  EXPECT_EQ(s.deadline_expired, 1u);
+  EXPECT_EQ(s.rejected, 1u);
 }
 
 TEST(ServerOverload, ShedOldestFreesCapacityForNewWork) {

@@ -58,10 +58,12 @@ import json
 import statistics
 import sys
 
-# Fields that carry measurements or run-dependent counters; everything
-# else identifies the record.
+# Fields that carry measurements, run-dependent counters or host-dependent
+# resolved settings (the tuned base-case cut-off); everything else
+# identifies the record.
 METRIC_FIELDS = frozenset({
     "req_per_sec", "mean_ms", "mean_us", "gflops", "seconds",
+    "base_case_elements",
     "cache_hits", "cache_misses", "schedule_builds", "workspace_grows",
     "thread_pack_allocs", "plan_misses",
     "offered", "completed", "rejected", "shed", "deadline_expired",

@@ -62,13 +62,12 @@ void rank_body(T alpha, const Matrix<T>& a, MatrixView<T> c_out, const AtaPlan& 
   // --- Phase 1b: forward each off-chain child its subtree's blocks,
   // top-down (a child's child may sit on yet another process and is served
   // by that child, not by us).
-  std::vector<T> staging;
   for (int id : chain) {
     for (int cid : tree.node(id).children) {
       const sched::DistNode& ch = tree.node(cid);
       if (ch.proc == r) continue;
       for (const sched::Block& b : ch.needs) {
-        dist::send_block(ctx, ch.proc, cid, a_view(b), staging);
+        dist::send_block(ctx, ch.proc, cid, a_view(b));
       }
     }
   }
@@ -113,9 +112,9 @@ void rank_body(T alpha, const Matrix<T>& a, MatrixView<T> c_out, const AtaPlan& 
   if (!is_root) {
     const int dst = tree.node(entry.parent).proc;
     if (entry.symmetric) {
-      dist::send_packed_lower(ctx, dst, chain.front(), ConstMatrixView<T>(region), staging);
+      dist::send_packed_lower(ctx, dst, chain.front(), ConstMatrixView<T>(region));
     } else {
-      dist::send_block(ctx, dst, chain.front(), ConstMatrixView<T>(region), staging);
+      dist::send_block(ctx, dst, chain.front(), ConstMatrixView<T>(region));
     }
   }
 }

@@ -6,11 +6,12 @@
 // words in row-major order; a symmetric (A^T A-type) partial result
 // travels as its packed lower triangle, n(n+1)/2 words — the §4.3.1
 // optimization that produces the n(n+2)/2 term of the Prop. 4.2 bandwidth
-// bound. Receivers ACCUMULATE (+=) because the AtA-D retrieval phase is a
-// gather-and-sum; use a zeroed destination for plain placement.
+// bound. Senders serialize straight into the message's pooled payload, the
+// one copy a message costs. Receivers ACCUMULATE (+=) because the AtA-D
+// retrieval phase is a gather-and-sum; use a zeroed destination for plain
+// placement.
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -21,25 +22,22 @@
 
 namespace atalib::dist {
 
-/// Flatten `v` into `staging` (resized) and send it as one message.
+/// Send `v` as one row-major message.
 template <typename T>
-void send_block(mpisim::RankCtx& ctx, int dest, int tag, ConstMatrixView<T> v,
-                std::vector<T>& staging) {
-  staging.resize(static_cast<std::size_t>(v.rows) * static_cast<std::size_t>(v.cols));
-  T* out = staging.data();
+void send_block(mpisim::RankCtx& ctx, int dest, int tag, ConstMatrixView<T> v) {
+  mpisim::Payload<T> out(static_cast<std::size_t>(v.rows) * static_cast<std::size_t>(v.cols));
   for (index_t i = 0; i < v.rows; ++i) {
-    std::memcpy(out, v.data + i * v.stride, static_cast<std::size_t>(v.cols) * sizeof(T));
-    out += v.cols;
+    std::copy_n(v.data + i * v.stride, v.cols, out.data() + i * v.cols);
   }
-  ctx.send(dest, tag, staging.data(), staging.size());
+  ctx.send(dest, tag, std::move(out));
 }
 
-/// Receive one rows*cols message into a fresh flat buffer (row-major,
-/// stride == cols). Size-checked against the expected block geometry.
+/// Receive one rows*cols message as a flat payload (row-major, stride ==
+/// cols). Size-checked against the expected block geometry.
 template <typename T>
-std::vector<T> recv_block(mpisim::RankCtx& ctx, int source, int tag, index_t rows,
-                          index_t cols) {
-  std::vector<T> data = ctx.recv<T>(source, tag);
+mpisim::Payload<T> recv_block(mpisim::RankCtx& ctx, int source, int tag, index_t rows,
+                              index_t cols) {
+  mpisim::Payload<T> data = ctx.recv<T>(source, tag);
   if (data.size() != static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols)) {
     throw std::logic_error("dist protocol error: block payload size mismatch");
   }
@@ -49,7 +47,7 @@ std::vector<T> recv_block(mpisim::RankCtx& ctx, int source, int tag, index_t row
 /// Receive one rows*cols message as an owning Matrix.
 template <typename T>
 Matrix<T> recv_matrix(mpisim::RankCtx& ctx, int source, int tag, index_t rows, index_t cols) {
-  const std::vector<T> data = recv_block<T>(ctx, source, tag, rows, cols);
+  const mpisim::Payload<T> data = recv_block<T>(ctx, source, tag, rows, cols);
   Matrix<T> out(rows, cols);
   std::copy(data.begin(), data.end(), out.data());
   return out;
@@ -58,7 +56,7 @@ Matrix<T> recv_matrix(mpisim::RankCtx& ctx, int source, int tag, index_t rows, i
 /// Receive a rows*cols block and accumulate it into `dst`.
 template <typename T>
 void recv_add_block(mpisim::RankCtx& ctx, int source, int tag, MatrixView<T> dst) {
-  const std::vector<T> data = recv_block<T>(ctx, source, tag, dst.rows, dst.cols);
+  const mpisim::Payload<T> data = recv_block<T>(ctx, source, tag, dst.rows, dst.cols);
   const T* in = data.data();
   for (index_t i = 0; i < dst.rows; ++i) {
     for (index_t j = 0; j < dst.cols; ++j) dst(i, j) += in[j];
@@ -66,24 +64,23 @@ void recv_add_block(mpisim::RankCtx& ctx, int source, int tag, MatrixView<T> dst
   }
 }
 
-/// Pack the lower triangle of square `v` into `staging` and send it.
+/// Send the lower triangle of square `v`, packed.
 template <typename T>
-void send_packed_lower(mpisim::RankCtx& ctx, int dest, int tag, ConstMatrixView<T> v,
-                       std::vector<T>& staging) {
+void send_packed_lower(mpisim::RankCtx& ctx, int dest, int tag, ConstMatrixView<T> v) {
   const index_t n = v.rows;
-  staging.resize(PackedLower<T>::packed_words(n));
+  mpisim::Payload<T> out(PackedLower<T>::packed_words(n));
   std::size_t k = 0;
   for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) staging[k++] = v(i, j);
+    for (index_t j = 0; j <= i; ++j) out[k++] = v(i, j);
   }
-  ctx.send(dest, tag, staging.data(), staging.size());
+  ctx.send(dest, tag, std::move(out));
 }
 
 /// Receive a packed lower triangle and accumulate it into lower(dst).
 template <typename T>
 void recv_add_packed_lower(mpisim::RankCtx& ctx, int source, int tag, MatrixView<T> dst) {
   const index_t n = dst.rows;
-  const std::vector<T> data = ctx.recv<T>(source, tag);
+  const mpisim::Payload<T> data = ctx.recv<T>(source, tag);
   if (data.size() != PackedLower<T>::packed_words(n)) {
     throw std::logic_error("dist protocol error: packed payload size mismatch");
   }
@@ -101,7 +98,7 @@ void recv_add_packed_lower(mpisim::RankCtx& ctx, int source, int tag, MatrixView
 template <typename T>
 class BlockStore {
  public:
-  void put(const sched::Block& b, std::vector<T> data) {
+  void put(const sched::Block& b, mpisim::Payload<T> data) {
     entries_.push_back(Entry{b, std::move(data)});
   }
 
@@ -116,7 +113,7 @@ class BlockStore {
  private:
   struct Entry {
     sched::Block block;
-    std::vector<T> data;
+    mpisim::Payload<T> data;
   };
   std::vector<Entry> entries_;
 };

@@ -57,8 +57,8 @@ void add_quadrant(MatrixView<T> c, const Matrix<T>& m, index_t h, int qr, int qc
 /// the n x n product; other ranks participate in exactly one subgroup and
 /// return an empty matrix.
 template <typename T>
-Matrix<T> caps_step(mpisim::RankCtx& ctx, std::vector<T>& staging, int lo, int size, int level,
-                    int max_level, ConstMatrixView<T> x, ConstMatrixView<T> y, index_t n) {
+Matrix<T> caps_step(mpisim::RankCtx& ctx, int lo, int size, int level, int max_level,
+                    ConstMatrixView<T> x, ConstMatrixView<T> y, index_t n) {
   const int me = ctx.rank();
   if (level == max_level || size < 7) {
     if (me != lo) return {};
@@ -101,8 +101,8 @@ Matrix<T> caps_step(mpisim::RankCtx& ctx, std::vector<T>& staging, int lo, int s
         my_left = std::move(l);
         my_right = std::move(r);
       } else {
-        send_block(ctx, sub_lo[i], tag_left(level, i), l.const_view(), staging);
-        send_block(ctx, sub_lo[i], tag_right(level, i), r.const_view(), staging);
+        send_block(ctx, sub_lo[i], tag_left(level, i), l.const_view());
+        send_block(ctx, sub_lo[i], tag_right(level, i), r.const_view());
       }
     }
   }
@@ -112,10 +112,10 @@ Matrix<T> caps_step(mpisim::RankCtx& ctx, std::vector<T>& staging, int lo, int s
     my_left = recv_matrix<T>(ctx, lo, tag_left(level, g), h, h);
     my_right = recv_matrix<T>(ctx, lo, tag_right(level, g), h, h);
   }
-  Matrix<T> sub = caps_step(ctx, staging, sub_lo[g], sub_size[g], level + 1, max_level,
+  Matrix<T> sub = caps_step(ctx, sub_lo[g], sub_size[g], level + 1, max_level,
                             my_left.const_view(), my_right.const_view(), h);
   if (me == sub_lo[g] && me != lo) {
-    send_block(ctx, lo, tag_product(level, g), sub.const_view(), staging);
+    send_block(ctx, lo, tag_product(level, g), sub.const_view());
   }
   if (me != lo) return {};
 
@@ -161,9 +161,7 @@ DistResult<T> caps_like_mm(const Matrix<T>& x, const Matrix<T>& y, int procs) {
 
   Matrix<T>* c_out = &res.c;
   run_ranks(res, procs, wall, 0, 0, [&](mpisim::RankCtx& ctx, runtime::TaskContext&) {
-    std::vector<T> staging;
-    Matrix<T> out = caps_step(ctx, staging, 0, procs, 0, max_level, x.const_view(),
-                              y.const_view(), n);
+    Matrix<T> out = caps_step(ctx, 0, procs, 0, max_level, x.const_view(), y.const_view(), n);
     if (ctx.rank() == 0) *c_out = std::move(out);
   });
   return res;

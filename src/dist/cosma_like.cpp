@@ -65,13 +65,12 @@ DistResult<T> cosma_like_gemm(T alpha, const Matrix<T>& a, const Matrix<T>& b, i
     const int i = r / grid.pc, j = r % grid.pc;
     const auto [n0, n1] = rows_of(i);
     const auto [k0, k1] = cols_of(j);
-    std::vector<T> staging;
     if (r == 0) {
       for (int q = 1; q < p; ++q) {
         const auto [qn0, qn1] = rows_of(q / grid.pc);
         const auto [qk0, qk1] = cols_of(q % grid.pc);
-        send_block(ctx, q, kTagA, a.block(0, qn0, m, qn1 - qn0), staging);
-        send_block(ctx, q, kTagB, b.block(0, qk0, m, qk1 - qk0), staging);
+        send_block(ctx, q, kTagA, a.block(0, qn0, m, qn1 - qn0));
+        send_block(ctx, q, kTagB, b.block(0, qk0, m, qk1 - qk0));
       }
       blas::gemm_tn(alpha, a.block(0, n0, m, n1 - n0), b.block(0, k0, m, k1 - k0),
                     c_view.block(n0, k0, n1 - n0, k1 - k0));
@@ -82,14 +81,14 @@ DistResult<T> cosma_like_gemm(T alpha, const Matrix<T>& a, const Matrix<T>& b, i
         recv_add_block(ctx, q, kTagC, c_view.block(qn0, qk0, qn1 - qn0, qk1 - qk0));
       }
     } else {
-      const std::vector<T> pa = recv_block<T>(ctx, 0, kTagA, m, n1 - n0);
-      const std::vector<T> pb = recv_block<T>(ctx, 0, kTagB, m, k1 - k0);
+      const auto pa = recv_block<T>(ctx, 0, kTagA, m, n1 - n0);
+      const auto pb = recv_block<T>(ctx, 0, kTagB, m, k1 - k0);
       Matrix<T> local = Matrix<T>::zeros(n1 - n0, k1 - k0);
       if (n1 > n0 && k1 > k0) {
         blas::gemm_tn(alpha, ConstMatrixView<T>(pa.data(), m, n1 - n0, n1 - n0),
                       ConstMatrixView<T>(pb.data(), m, k1 - k0, k1 - k0), local.view());
       }
-      send_block(ctx, 0, kTagC, local.const_view(), staging);
+      send_block(ctx, 0, kTagC, local.const_view());
     }
   });
   return res;

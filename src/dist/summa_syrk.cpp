@@ -33,11 +33,10 @@ DistResult<T> summa_syrk(T alpha, const Matrix<T>& a, int procs) {
     auto panel_rows = [&](int q) {
       return std::pair<index_t, index_t>{m * q / p, m * (q + 1) / p};
     };
-    std::vector<T> staging;
     if (r == 0) {
       for (int q = 1; q < p; ++q) {
         const auto [r0, r1] = panel_rows(q);
-        send_block(ctx, q, kTagPanel, a.block(r0, 0, r1 - r0, n), staging);
+        send_block(ctx, q, kTagPanel, a.block(r0, 0, r1 - r0, n));
       }
       // Root's own contribution goes straight into C, then the reduce.
       const auto [r0, r1] = panel_rows(0);
@@ -45,10 +44,10 @@ DistResult<T> summa_syrk(T alpha, const Matrix<T>& a, int procs) {
       for (int q = 1; q < p; ++q) recv_add_packed_lower(ctx, q, kTagReduce, c_view);
     } else {
       const auto [r0, r1] = panel_rows(r);
-      const std::vector<T> panel = recv_block<T>(ctx, 0, kTagPanel, r1 - r0, n);
+      const auto panel = recv_block<T>(ctx, 0, kTagPanel, r1 - r0, n);
       Matrix<T> local = Matrix<T>::zeros(n, n);
       blas::syrk_ln(alpha, ConstMatrixView<T>(panel.data(), r1 - r0, n, n), local.view());
-      send_packed_lower(ctx, 0, kTagReduce, local.const_view(), staging);
+      send_packed_lower(ctx, 0, kTagReduce, local.const_view());
     }
   });
   return res;

@@ -3,20 +3,29 @@
 //
 // Each rank is a std::thread; ranks share no algorithm state — every matrix
 // block crosses rank boundaries as an explicit, counted message through a
-// tagged mailbox. Sends are buffered (payload copied into the destination
+// tagged mailbox. Sends are buffered (the payload moves into the destination
 // mailbox, sender never blocks), like MPI_Bsend, which keeps tree-structured
 // protocols trivially deadlock-free. Receives block until a message with a
-// matching (source, tag) arrives.
+// matching (source, tag) arrives and take the sender's buffer by move, so
+// the sender's serialization is a message's only copy.
 //
 // Tags are caller-chosen; (source, tag) pairs must be unique among in-flight
 // messages for a deterministic protocol, which all algorithms in dist/
 // guarantee by tagging with task-tree node ids or stage numbers.
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
-#include <cstring>
+#include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <new>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -25,11 +34,53 @@
 
 namespace atalib::mpisim {
 
-/// Raw message payload.
+/// Hands message storage back to the process-wide buffer pool.
+struct Recycle {
+  std::size_t bytes = 0;
+  void operator()(std::byte* p) const noexcept;
+};
+/// Message storage: uninitialized, 64-byte aligned, pooled bytes.
+using Storage = std::unique_ptr<std::byte[], Recycle>;
+
+/// Best-fit storage from the pool, or a fresh allocation on a miss. The
+/// pool keeps at most the most bytes any one Communicator has sent.
+Storage acquire_storage(std::size_t bytes);
+/// Pool misses since process start; a repeated run adds none once warm.
+std::uint64_t buffer_allocs();
+
+/// An owned, typed message payload: a span over pooled storage. Moving it
+/// moves the storage and leaves the source empty.
+template <typename T>
+class Payload : public std::span<T> {
+  static_assert(std::is_trivially_copyable_v<T>, "payloads travel as raw element copies");
+
+ public:
+  /// Room for `count` uninitialized elements.
+  explicit Payload(std::size_t count) : mem_(acquire_storage(count * sizeof(T))) {
+    // Pooled storage may last have held another type: start the elements'
+    // lifetimes (no code for a trivial T).
+    if (count > 0) {
+      std::span<T>::operator=({::new (static_cast<void*>(mem_.get())) T[count], count});
+    }
+  }
+  Payload(Payload&& o) noexcept
+      : std::span<T>(std::exchange<std::span<T>>(o, {})), mem_(std::move(o.mem_)) {}
+
+ private:
+  friend class RankCtx;
+  Payload(T* elems, std::size_t count, Storage mem)
+      : std::span<T>(elems, count), mem_(std::move(mem)) {}
+  Storage mem_;
+};
+
+/// One in-flight message: the sender's T[count] inside its storage.
 struct Message {
   int source = 0;
   int tag = 0;
-  std::vector<unsigned char> bytes;
+  const std::type_info* type = nullptr;
+  void* elems = nullptr;
+  std::size_t count = 0;  ///< elements, i.e. words
+  Storage mem;
 };
 
 /// Thrown out of a blocked recv when a peer rank failed and the
@@ -67,13 +118,21 @@ class RankCtx {
   int rank() const { return rank_; }
   int size() const;
 
-  /// Typed buffered send of `count` elements of T.
+  /// Buffered send of a filled payload; it moves into the mailbox uncopied.
   template <typename T>
-  void send(int dest, int tag, const T* data, std::size_t count);
+  void send(int dest, int tag, Payload<T> payload);
+  /// Buffered send of a copy of `count` elements.
+  template <typename T>
+  void send(int dest, int tag, const T* data, std::size_t count) {
+    Payload<T> payload(count);
+    std::copy_n(data, count, payload.data());
+    send(dest, tag, std::move(payload));
+  }
 
-  /// Typed blocking receive; returns the payload.
+  /// Blocking receive of the sender's payload. Throws std::logic_error if
+  /// the message holds another element type.
   template <typename T>
-  std::vector<T> recv(int source, int tag);
+  Payload<T> recv(int source, int tag);
 
   /// Convenience for single scalars / small structs.
   template <typename T>
@@ -82,7 +141,9 @@ class RankCtx {
   }
   template <typename T>
   T recv_value(int source, int tag) {
-    return recv<T>(source, tag).at(0);
+    const Payload<T> p = recv<T>(source, tag);
+    if (p.empty()) throw std::out_of_range("mpisim: recv_value on an empty message");
+    return p[0];
   }
 
  private:
@@ -116,9 +177,8 @@ class Communicator {
               const std::function<void(RankCtx&, runtime::TaskContext&)>& fn);
 
   // Internal transport (used by RankCtx).
-  void send_bytes(int source, int dest, int tag, std::vector<unsigned char> bytes,
-                  std::size_t words);
-  Message recv_bytes(int self, int source, int tag, std::size_t elem_size);
+  void post(int dest, Message msg);
+  Message take(int self, int source, int tag, const std::type_info& type);
 
  private:
   /// Wrap a rank body so any failure poisons all mailboxes (unblocking
@@ -136,21 +196,19 @@ class Communicator {
   int size_;
   std::vector<Mailbox> mailboxes_;
   TrafficStats stats_;
+  std::atomic<std::size_t> sent_bytes_{0};  ///< raises the buffer pool's bound
 };
 
 template <typename T>
-void RankCtx::send(int dest, int tag, const T* data, std::size_t count) {
-  std::vector<unsigned char> bytes(count * sizeof(T));
-  if (count > 0) std::memcpy(bytes.data(), data, bytes.size());
-  comm_.send_bytes(rank_, dest, tag, std::move(bytes), count);
+void RankCtx::send(int dest, int tag, Payload<T> payload) {
+  comm_.post(dest, Message{rank_, tag, &typeid(T), payload.data(), payload.size(),
+                           std::move(payload.mem_)});
 }
 
 template <typename T>
-std::vector<T> RankCtx::recv(int source, int tag) {
-  Message msg = comm_.recv_bytes(rank_, source, tag, sizeof(T));
-  std::vector<T> out(msg.bytes.size() / sizeof(T));
-  if (!out.empty()) std::memcpy(out.data(), msg.bytes.data(), msg.bytes.size());
-  return out;
+Payload<T> RankCtx::recv(int source, int tag) {
+  Message msg = comm_.take(rank_, source, tag, typeid(T));
+  return Payload<T>(static_cast<T*>(msg.elems), msg.count, std::move(msg.mem));
 }
 
 }  // namespace atalib::mpisim

@@ -101,13 +101,19 @@ TEST(CapsLike, TwoBfsLevelsWith49Procs) {
 }
 
 TEST(Baselines, TrafficIsAccounted) {
+  // Exact totals at one shape: summa sends 7 panels of 8x64 and reduces 7
+  // packed 64x64 triangles; caps sends 6 operand pairs and gets 6 products
+  // back, all 32x32; cosma's were recorded from the same run.
   auto a = random_uniform<double>(64, 64, 3);
   const auto r1 = summa_syrk(1.0, a, 8);
-  EXPECT_GT(r1.traffic.total_messages(), 0u);
+  EXPECT_EQ(r1.traffic.total_words(), 7u * 8 * 64 + 7u * 64 * 65 / 2);
+  EXPECT_EQ(r1.traffic.total_messages(), 14u);
   const auto r2 = cosma_like_gemm(1.0, a, a, 8);
-  EXPECT_GT(r2.traffic.total_words(), 0u);
+  EXPECT_EQ(r2.traffic.total_words(), 25088u);
+  EXPECT_EQ(r2.traffic.total_messages(), 21u);
   const auto r3 = caps_like_mm(a, a, 7);
-  EXPECT_GT(r3.traffic.total_words(), 0u);
+  EXPECT_EQ(r3.traffic.total_words(), 18u * 32 * 32);
+  EXPECT_EQ(r3.traffic.total_messages(), 18u);
 }
 
 }  // namespace

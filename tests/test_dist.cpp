@@ -8,6 +8,7 @@
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
 #include "metrics/models.hpp"
+#include "mpisim/communicator.hpp"
 #include "param_names.hpp"
 
 namespace atalib::dist {
@@ -106,6 +107,35 @@ TEST(AtaDist, SingleProcessDoesNoCommunication) {
   opts.recurse = tiny_base();
   const auto res = ata_dist(1.0, a, opts);
   EXPECT_EQ(res.traffic.total_messages(), 0u);
+}
+
+TEST(AtaDist, ExactTrafficAtFourRanks) {
+  // P = 4, alpha 1/2 on an even shape. Out: one m x n/2 half to each syrk
+  // rank and an (m/2) x (n/2) piece of both halves to the rank sharing the
+  // off-diagonal block (3mn/2 words, 4 messages). Back: one (n/2)^2 block
+  // and two packed (n/2)(n/2+1)/2 triangles (3 messages). The same closed
+  // form gives perfbench's dist_ranks word count.
+  const index_t m = 64, n = 32, h = n / 2;
+  auto a = random_uniform<double>(m, n, 21);
+  DistOptions opts;
+  opts.procs = 4;
+  opts.alpha = 0.5;
+  const auto res = ata_dist(1.0, a, opts);
+  EXPECT_EQ(res.traffic.total_words(),
+            static_cast<std::uint64_t>(3 * m * n / 2 + h * h + h * (h + 1)));
+  EXPECT_EQ(res.traffic.total_messages(), 7u);
+}
+
+TEST(AtaDist, WarmCallsAllocateNoMessageBuffers) {
+  // Every message of a run gets its own pooled buffer, so once one call
+  // has filled the pool, repeats find an exact fit in any rank interleaving.
+  auto a = random_uniform<double>(256, 128, 23);
+  DistOptions opts;
+  opts.procs = 4;
+  (void)ata_dist(1.0, a, opts);
+  const std::uint64_t allocs = mpisim::buffer_allocs();
+  for (int i = 0; i < 8; ++i) (void)ata_dist(1.0, a, opts);
+  EXPECT_EQ(mpisim::buffer_allocs(), allocs);
 }
 
 TEST(AtaDist, TrafficGrowsWithPAndStaysNearBandwidthModel) {

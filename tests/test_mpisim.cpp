@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "mpisim/communicator.hpp"
@@ -26,6 +27,74 @@ TEST(Communicator, PingPongDeliversPayload) {
       ctx.send(0, 8, msg.data(), msg.size());
     }
   });
+}
+
+TEST(Communicator, TypeMismatchedRecvThrowsAndCountsNothing) {
+  // Three floats received as doubles must not come back as one
+  // reinterpreted double counted as one word.
+  Communicator comm(2);
+  EXPECT_THROW(comm.run([](RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      const float data[3] = {1.0f, 2.0f, 3.0f};
+      ctx.send(1, 5, data, 3);
+    } else {
+      (void)ctx.recv<double>(0, 5);
+    }
+  }),
+               std::logic_error);
+  const TrafficSnapshot t = comm.traffic();
+  EXPECT_EQ(t.words_sent[0], 3u);
+  EXPECT_EQ(t.messages_received[1], 0u);
+  EXPECT_EQ(t.words_received[1], 0u);
+}
+
+TEST(Communicator, ReceiverGetsTheSendersBuffer) {
+  // One copy per message: the sender's serialization is the payload the
+  // receiver holds.
+  Communicator comm(2);
+  const double* sent = nullptr;
+  const double* received = nullptr;
+  comm.run([&](RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      Payload<double> p(64);
+      std::iota(p.begin(), p.end(), 0.0);
+      sent = p.data();
+      ctx.send(1, 0, std::move(p));
+      EXPECT_TRUE(p.empty());
+    } else {
+      const Payload<double> p = ctx.recv<double>(0, 0);
+      received = p.data();
+      EXPECT_EQ(p[63], 63.0);
+    }
+  });
+  EXPECT_EQ(sent, received);
+}
+
+TEST(BufferPool, RecyclesAndHoldsAtMostTheLargestRun) {
+  // One message per run, doubling in size: no run can reuse an earlier,
+  // too small buffer. The pool may hold only the largest run's bytes, so
+  // after the largest run only its buffer is left and a repeat of the
+  // smallest run misses.
+  auto one_message = [](std::size_t n) {
+    Communicator comm(2);
+    comm.run([n](RankCtx& ctx) {
+      if (ctx.rank() == 0) {
+        Payload<double> p(n);
+        std::fill(p.begin(), p.end(), 1.0);
+        ctx.send(1, 0, std::move(p));
+      } else {
+        EXPECT_EQ(ctx.recv<double>(0, 0).size(), n);
+      }
+    });
+  };
+  constexpr std::size_t kLargest = std::size_t{1} << 20;
+  for (std::size_t n = kLargest / 8; n <= kLargest; n *= 2) one_message(n);
+  const std::uint64_t allocs = buffer_allocs();
+  one_message(kLargest);
+  one_message(kLargest / 2 + 1);  // best fit may hand out up to twice the request
+  EXPECT_EQ(buffer_allocs(), allocs);
+  one_message(kLargest / 8);
+  EXPECT_EQ(buffer_allocs(), allocs + 1);
 }
 
 TEST(Communicator, TagMatchingIsSelective) {
